@@ -75,6 +75,11 @@ def _load_grammars(config: RunConfig, categories) -> list:
     ]
 
 
+def _combined(grammars: list) -> grammar_mod.LocalGrammar:
+    """One grammar as is; several by shared initial and final states."""
+    return grammars[0] if len(grammars) == 1 else grammar_mod.union(grammars)
+
+
 def _quoted(tag) -> str:
     return f'"{tag.display()}"'
 
@@ -173,7 +178,7 @@ def _apply_grammars(config: RunConfig, text: str):
         for g in grammars:
             filtered = engine.filter(g, filtered)
     else:
-        combined = grammars[0] if len(grammars) == 1 else grammar_mod.union(grammars)
+        combined = _combined(grammars)
         filtered = engine.filter(combined, l)
     return filtered
 
@@ -191,7 +196,7 @@ def cmd_check(config: RunConfig, corpus_file: str) -> tuple[str, bool]:
     """Zero-silence check of the combined grammars against gold taggings."""
     lexicon = _load_lexicon(config)
     grammars = _load_grammars(config, lexicon.categories)
-    combined = grammars[0] if len(grammars) == 1 else grammar_mod.union(grammars)
+    combined = _combined(grammars)
     corpus = engine.load_corpus(Path(corpus_file).read_text(encoding="utf-8").splitlines())
     report = engine.silence_check(combined, corpus, lexicon)
     if config.format == "report":
@@ -235,7 +240,7 @@ def cmd_diff_oracle(config: RunConfig, text: str | None) -> tuple[str, bool]:
         raise GrammarFormatError("diff-oracle needs a text argument or --seed")
     lexicon = _load_lexicon(config)
     grammars = _load_grammars(config, lexicon.categories)
-    combined = grammars[0] if len(grammars) == 1 else grammar_mod.union(grammars)
+    combined = _combined(grammars)
     l = build_initial_lattice(tokenize(text), lexicon)
     left = engine.filter(combined, l)
     right = engine.filter_oracle(combined, l, config.limit)

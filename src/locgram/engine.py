@@ -19,12 +19,26 @@ Two restricted rules are available when the grammar's shape allows them:
 with only surface-form inputs the matched portion may check the portion's
 own tags against the inputs directly, and the same shortcut is sound
 whenever conformity to each output implies conformity to its input.
+
+Conformity is decided on integers.  Each grammar is compiled once, on
+first use, into a conformity table cached on the grammar
+(``LocalGrammar.compiled``): for its input and its output side, a
+separator character, a surface form, ``<MOT>``, a main category and a
+lemma each map to the transitions they can satisfy, as a bitmask with
+bit ``i`` for ``transitions[i]``.  A label's mask then costs a few
+dictionary lookups, and each step of a matched portion is one ``&`` of
+the edge's output mask, its span's input mask and the transition's bit.
+``tags.conforms`` stays the reference predicate the table must agree
+with.
 """
 
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import CorpusFormatError, EnumerationOverflow
@@ -45,11 +59,11 @@ from .tags import (
     IncompleteTag,
     Separator,
     SurfaceForm,
-    conforms,
     parse_complete_tag,
 )
 
 MatchableIndex = dict  # lattice state -> bool
+EdgeMasks = dict  # lattice state -> one transition bitmask per outgoing edge
 
 
 @dataclass(frozen=True)
@@ -79,15 +93,22 @@ class Decomposition:
     blocks: tuple
 
 
-def _match_index(l: Lattice, g: LocalGrammar, match: Callable) -> MatchableIndex:
+def _edge_masks(l: Lattice, mask: Callable[[EdgeLabel], int]) -> EdgeMasks:
+    """``mask`` of every edge label, per source state in ``edges_by_source``
+    order."""
+    return {q: tuple(mask(e.label) for e in es) for q, es in l.edges_by_source.items()}
+
+
+def _match_index(l: Lattice, g: LocalGrammar, masks: EdgeMasks) -> MatchableIndex:
     """For each lattice state: does some path from it match a complete
-    input sequence of the grammar, edge by edge, under ``match``?
+    input sequence of the grammar, edge by edge, where an edge may take
+    the transitions set in its mask?
 
     Product reachability over (lattice state, grammar state); the lattice
     is acyclic, so grammar cycles are bounded by the remaining depth.
     """
     by_source = l.edges_by_source
-    transitions = g.by_source()
+    steps = g.compiled.steps
     memo: dict[tuple, bool] = {}
 
     def walk(q: int, t) -> bool:
@@ -98,9 +119,9 @@ def _match_index(l: Lattice, g: LocalGrammar, match: Callable) -> MatchableIndex
             return memo[key]
         memo[key] = False
         result = any(
-            match(e.label, tr.inp) and walk(e.dst, tr.dst)
-            for e in by_source[q]
-            for tr in transitions[t]
+            m & bit and walk(e.dst, tr.dst)
+            for e, m in zip(by_source[q], masks[q])
+            for bit, tr in steps[t]
         )
         memo[key] = result
         return result
@@ -111,7 +132,7 @@ def _match_index(l: Lattice, g: LocalGrammar, match: Callable) -> MatchableIndex
 def matchable(l: Lattice, g: LocalGrammar) -> MatchableIndex:
     """States from which some admitted tagging conforms to a complete
     input sequence of the grammar."""
-    return _match_index(l, g, conforms)
+    return _match_index(l, g, _edge_masks(l, g.compiled.inputs.mask))
 
 
 def _surface_match(label: EdgeLabel, pattern: IncompleteTag) -> bool:
@@ -126,7 +147,39 @@ def _surface_match(label: EdgeLabel, pattern: IncompleteTag) -> bool:
 
 def surface_matchable(l: Lattice, g: LocalGrammar) -> MatchableIndex:
     """States from which the raw text matches some input sequence."""
-    return _match_index(l, g, _surface_match)
+    inputs = [t.inp for t in g.transitions]
+
+    def mask(label: EdgeLabel) -> int:
+        return sum(1 << i for i, inp in enumerate(inputs) if _surface_match(label, inp))
+
+    return _match_index(l, g, _edge_masks(l, mask))
+
+
+def _witness_mask(g: LocalGrammar, l: Lattice) -> Callable[[Edge], int]:
+    """Edge -> the transitions a matched portion may take over it under
+    the general rule: the output conforms to the edge's own label, the
+    input to some label on the same span.  Each span's input mask is
+    computed once."""
+    inputs, outputs = g.compiled.inputs.mask, g.compiled.outputs.mask
+    spans = l.labels_by_span
+    span_inputs: dict[tuple[int, int], int] = {}
+
+    def mask(e: Edge) -> int:
+        span = (e.src, e.dst)
+        bits = span_inputs.get(span)
+        if bits is None:
+            bits = span_inputs[span] = reduce(or_, map(inputs, spans[span]), 0)
+        return outputs(e.label) & bits
+
+    return mask
+
+
+def _own_mask(g: LocalGrammar) -> Callable[[Edge], int]:
+    """Edge -> the transitions a matched portion may take over it under
+    the restricted rules: input and output conform to the edge's own
+    label."""
+    inputs, outputs = g.compiled.inputs.mask, g.compiled.outputs.mask
+    return lambda e: inputs(e.label) & outputs(e.label)
 
 
 def _check_path(l: Lattice, p: Sequence[Edge]) -> tuple:
@@ -152,24 +205,18 @@ def _decompose(
     p: Sequence[Edge],
     l: Lattice,
     *,
-    use_witness: bool,
+    step_mask: Callable[[Edge], int],
     index: MatchableIndex,
 ) -> Decomposition | None:
-    """Dynamic programming over path positions.  Matched portions check the
-    path's own tags against inputs, or (``use_witness``) any same-span edge
-    of the lattice, which realizes equivalence: same text, same
-    delimitation.  Any valid partition suffices."""
+    """Dynamic programming over path positions.  Matched portions take the
+    transitions ``step_mask`` allows over each edge: checking the path's
+    own tags against inputs (``_own_mask``), or any same-span edge of the
+    lattice (``_witness_mask``), which realizes equivalence: same text,
+    same delimitation.  Any valid partition suffices."""
     edges = _check_path(l, p)
     m = len(edges)
-    spans = l.labels_by_span if use_witness else None
-    transitions = g.by_source()
-
-    def step_ok(tr, e: Edge) -> bool:
-        if use_witness:
-            return conforms(e.label, tr.out) and any(
-                conforms(w, tr.inp) for w in spans[(e.src, e.dst)]
-            )
-        return conforms(e.label, tr.inp) and conforms(e.label, tr.out)
+    steps = g.compiled.steps
+    ok = [step_mask(e) for e in edges]
 
     def blocks_from(i: int):
         # transducer paths consuming edges i.. ; yields (end, pairs) in
@@ -183,11 +230,10 @@ def _decompose(
                 found.append((pos, pairs))
             if pos >= m:
                 continue
-            e = edges[pos]
-            for tr in reversed(transitions[t]):
+            for bit, tr in reversed(steps[t]):
                 if (pos + 1, tr.dst) in visited:
                     continue
-                if step_ok(tr, e):
+                if ok[pos] & bit:
                     visited.add((pos + 1, tr.dst))
                     stack.append((pos + 1, tr.dst, pairs + ((tr.inp, tr.out),)))
         found.sort(key=lambda item: item[0])
@@ -219,7 +265,7 @@ def _decompose(
 
 def decompose(g: LocalGrammar, p: Path, l: Lattice) -> Decomposition | None:
     """Witness partition under the general rule, or None when rejected."""
-    return _decompose(g, p, l, use_witness=True, index=matchable(l, g))
+    return _decompose(g, p, l, step_mask=_witness_mask(g, l), index=matchable(l, g))
 
 
 def accepts(g: LocalGrammar, p: Path, l: Lattice) -> bool:
@@ -234,7 +280,7 @@ def accepts_case_a(g: LocalGrammar, p: Path, l: Lattice) -> bool:
     if classify(g) is not GrammarClass.SIMPLE_INPUTS:
         raise ValueError("rule requires a grammar with only surface-form inputs")
     index = surface_matchable(l, g)
-    return _decompose(g, p, l, use_witness=False, index=index) is not None
+    return _decompose(g, p, l, step_mask=_own_mask(g), index=index) is not None
 
 
 def accepts_case_b(g: LocalGrammar, p: Path, l: Lattice) -> bool:
@@ -243,7 +289,7 @@ def accepts_case_b(g: LocalGrammar, p: Path, l: Lattice) -> bool:
     if classify(g) is GrammarClass.GENERAL:
         raise ValueError("rule requires output labels that imply their input labels")
     index = matchable(l, g)
-    return _decompose(g, p, l, use_witness=False, index=index) is not None
+    return _decompose(g, p, l, step_mask=_own_mask(g), index=index) is not None
 
 
 _FREE = None  # product mode marker for "between portions"
@@ -260,23 +306,20 @@ def filter(g: LocalGrammar, l: Lattice) -> Lattice:
     permitted; callers can test ``is_empty_language``.
     """
     index = matchable(l, g)
-    spans = l.labels_by_span
-    transitions = g.by_source()
+    steps = g.compiled.steps
+    finals = g.finals
     by_source = l.edges_by_source
-
-    def portion_steps(t, e: Edge):
-        for tr in transitions[t]:
-            if conforms(e.label, tr.out) and any(conforms(w, tr.inp) for w in spans[(e.src, e.dst)]):
-                yield tr.dst
+    witness_mask = _witness_mask(g, l)
+    portion = {q: tuple(map(witness_mask, es)) for q, es in by_source.items()}
 
     start = (l.initial, _FREE)
     goal = (l.final, _FREE)
     product_edges = []
     seen = {start}
-    worklist = [start]
+    worklist = deque([start])
     while worklist:
-        q, mode = worklist.pop(0)
-        for e in by_source[q]:
+        q, mode = worklist.popleft()
+        for e, ok in zip(by_source[q], portion[q]):
             targets = []
             if mode is _FREE:
                 if not index[q]:
@@ -284,10 +327,12 @@ def filter(g: LocalGrammar, l: Lattice) -> Lattice:
                 source_state = g.initial
             else:
                 source_state = mode
-            for t in portion_steps(source_state, e):
-                targets.append((e.dst, t))
-                if t in g.finals:
-                    targets.append((e.dst, _FREE))
+            if ok:
+                for bit, tr in steps[source_state]:
+                    if ok & bit:
+                        targets.append((e.dst, tr.dst))
+                        if tr.dst in finals:
+                            targets.append((e.dst, _FREE))
             for target in targets:
                 product_edges.append(((q, mode), target, e.label))
                 if target not in seen:
@@ -304,10 +349,11 @@ def filter_oracle(g: LocalGrammar, l: Lattice, limit: int = DEFAULT_PATH_LIMIT) 
     if enum.truncated:
         raise EnumerationOverflow(f"more than {limit} paths")
     index = matchable(l, g)
+    witness_mask = _witness_mask(g, l)
     survivors = [
         path_labels(p)
         for p in enum.paths
-        if _decompose(g, p, l, use_witness=True, index=index) is not None
+        if _decompose(g, p, l, step_mask=witness_mask, index=index) is not None
     ]
     return _trie_lattice(survivors)
 
@@ -421,8 +467,8 @@ def _failure_span(g: LocalGrammar, p: Path, l: Lattice) -> tuple:
     edges = tuple(p)
     m = len(edges)
     index = matchable(l, g)
-    spans = l.labels_by_span
-    transitions = g.by_source()
+    steps = g.compiled.steps
+    ok = list(map(_witness_mask(g, l), edges))
 
     reach = {0}
     worklist = [0]
@@ -441,12 +487,8 @@ def _failure_span(g: LocalGrammar, p: Path, l: Lattice) -> tuple:
                 nxt.append(pos)
             if pos >= m:
                 continue
-            e = edges[pos]
-            for tr in transitions[t]:
-                ok = conforms(e.label, tr.out) and any(
-                    conforms(w, tr.inp) for w in spans[(e.src, e.dst)]
-                )
-                if ok and (pos + 1, tr.dst) not in visited:
+            for bit, tr in steps[t]:
+                if ok[pos] & bit and (pos + 1, tr.dst) not in visited:
                     visited.add((pos + 1, tr.dst))
                     stack.append((pos + 1, tr.dst))
         for j in nxt:
@@ -462,12 +504,8 @@ def _failure_span(g: LocalGrammar, p: Path, l: Lattice) -> tuple:
         if pos >= m:
             continue
         touched = max(touched, pos)
-        e = edges[pos]
-        for tr in transitions[t]:
-            ok = conforms(e.label, tr.out) and any(
-                conforms(w, tr.inp) for w in spans[(e.src, e.dst)]
-            )
-            if ok and (pos + 1, tr.dst) not in visited:
+        for bit, tr in steps[t]:
+            if ok[pos] & bit and (pos + 1, tr.dst) not in visited:
                 visited.add((pos + 1, tr.dst))
                 stack.append((pos + 1, tr.dst))
     return (stuck, touched + 1)

@@ -21,12 +21,14 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable, Iterable, Sequence
 
 from .errors import GrammarFormatError
 from .tags import (
     AnyWord,
     CategoryPattern,
+    ConformityTable,
     IncompleteTag,
     LemmaPattern,
     Separator,
@@ -44,6 +46,17 @@ class Transition:
 
 
 @dataclass(frozen=True)
+class CompiledGrammar:
+    """A grammar's conformity table: bit ``i`` of every mask stands for
+    ``transitions[i]``."""
+
+    inputs: ConformityTable
+    outputs: ConformityTable
+    # state -> ((bit, transition), ...), in transition order
+    steps: dict[Hashable, tuple[tuple[int, Transition], ...]]
+
+
+@dataclass(frozen=True)
 class LocalGrammar:
     name: str
     states: tuple[Hashable, ...]
@@ -56,6 +69,18 @@ class LocalGrammar:
         for t in self.transitions:
             table[t.src].append(t)
         return {s: tuple(ts) for s, ts in table.items()}
+
+    @cached_property
+    def compiled(self) -> CompiledGrammar:
+        """Built on first use and kept for the grammar's lifetime."""
+        steps: dict[Hashable, list[tuple[int, Transition]]] = {s: [] for s in self.states}
+        for i, t in enumerate(self.transitions):
+            steps[t.src].append((1 << i, t))
+        return CompiledGrammar(
+            ConformityTable(t.inp for t in self.transitions),
+            ConformityTable(t.out for t in self.transitions),
+            {s: tuple(ts) for s, ts in steps.items()},
+        )
 
 
 class GrammarClass(enum.IntEnum):

@@ -11,12 +11,15 @@ and transitions grows or shrinks independently.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from .errors import EnumerationOverflow, LatticeFormatError
-from .tags import EdgeLabel, Separator, label_sort_key, parse_complete_tag
+from .tags import EdgeLabel, Separator, parse_complete_tag
 
 DEFAULT_PATH_LIMIT = 100_000
 
@@ -54,32 +57,31 @@ class Lattice:
         """Construct from arbitrary hashable states, renumbering them in a
         deterministic topological order.  Raises on cycles."""
         edges = list(edges)
-        order: list[Hashable] = []
-        seen: set[Hashable] = set()
-        for state in [initial, *(s for e in edges for s in (e[0], e[1])), final, *extra_states]:
-            if state not in seen:
-                seen.add(state)
-                order.append(state)
-        indegree = {s: 0 for s in order}
-        outgoing: dict[Hashable, list[tuple[Hashable, Hashable, EdgeLabel]]] = {s: [] for s in order}
-        for e in edges:
-            indegree[e[1]] += 1
-            outgoing[e[0]].append(e)
-        ready = [s for s in order if indegree[s] == 0]
+        ends = list(map(itemgetter(0, 1), edges))
+        # states in order of first appearance
+        order = list(
+            dict.fromkeys(chain((initial,), chain.from_iterable(ends), (final,), extra_states))
+        )
+        indegree = dict.fromkeys(order, 0)
+        successors: dict[Hashable, list[Hashable]] = {s: [] for s in order}
+        for src, dst in ends:
+            indegree[dst] += 1
+            successors[src].append(dst)
+        ready = deque(s for s in order if indegree[s] == 0)
         topo: list[Hashable] = []
         while ready:
-            state = ready.pop(0)
+            state = ready.popleft()
             topo.append(state)
-            for e in outgoing[state]:
-                indegree[e[1]] -= 1
-                if indegree[e[1]] == 0:
-                    ready.append(e[1])
+            for dst in successors[state]:
+                indegree[dst] -= 1
+                if indegree[dst] == 0:
+                    ready.append(dst)
         if len(topo) != len(order):
             raise LatticeFormatError("lattice has a cycle")
         number = {s: i for i, s in enumerate(topo)}
         renumbered = sorted(
-            (Edge(number[e[0]], number[e[1]], e[2]) for e in edges),
-            key=lambda e: (e.src, e.dst, label_sort_key(e.label)),
+            (Edge(number[src], number[dst], label) for src, dst, label in edges),
+            key=lambda e: (e.src, e.dst, e.label.sort_key),
         )
         return cls(len(topo), number[initial], number[final], tuple(renumbered))
 
@@ -200,16 +202,17 @@ def minimize(l: Lattice) -> Lattice:
     start = frozenset({l.initial})
     subset_edges: list[tuple[frozenset, frozenset, EdgeLabel]] = []
     subsets: list[frozenset] = [start]
-    worklist = [start]
+    worklist = deque([start])
     seen = {start}
     while worklist:
-        subset = worklist.pop(0)
-        moves: dict[EdgeLabel, set[int]] = {}
+        subset = worklist.popleft()
+        moves: dict[tuple, tuple[EdgeLabel, set[int]]] = {}
         for q in subset:
             for e in l.edges_by_source[q]:
-                moves.setdefault(e.label, set()).add(e.dst)
-        for label in sorted(moves, key=label_sort_key):
-            target = frozenset(moves[label])
+                moves.setdefault(e.label.sort_key, (e.label, set()))[1].add(e.dst)
+        for key in sorted(moves):
+            label, targets = moves[key]
+            target = frozenset(targets)
             subset_edges.append((subset, target, label))
             if target not in seen:
                 seen.add(target)
@@ -223,18 +226,15 @@ def minimize(l: Lattice) -> Lattice:
 
     # Merge bottom-up: states with equal finality and identical outgoing
     # signatures (after merging their targets) share one representative.
+    # Each subset's outgoing list is already in label order, one edge per
+    # label, so the signature needs no sorting.
     order = _subset_topo_order(subsets, subset_edges)
     representative: dict[frozenset, frozenset] = {}
     by_signature: dict[tuple, frozenset] = {}
     for subset in reversed(order):
         signature = (
             is_final[subset],
-            tuple(
-                sorted(
-                    (label_sort_key(lab), _subset_key(representative[dst]))
-                    for lab, dst in outgoing[subset]
-                )
-            ),
+            tuple((lab.sort_key, representative[dst]) for lab, dst in outgoing[subset]),
         )
         if signature in by_signature:
             representative[subset] = by_signature[signature]
@@ -254,15 +254,11 @@ def _merged_edges(subset_edges, representative):
     seen = set()
     for src, dst, label in subset_edges:
         edge = (representative[src], representative[dst], label)
-        key = (_subset_key(edge[0]), _subset_key(edge[1]), label_sort_key(label))
+        key = (edge[0], edge[1], label.sort_key)
         if key not in seen:
             seen.add(key)
             merged.append(edge)
     return merged
-
-
-def _subset_key(subset: frozenset) -> tuple:
-    return tuple(sorted(subset))
 
 
 def _subset_topo_order(subsets, subset_edges):
@@ -271,10 +267,10 @@ def _subset_topo_order(subsets, subset_edges):
     for src, dst, _ in subset_edges:
         indegree[dst] += 1
         outgoing[src].append(dst)
-    ready = [s for s in subsets if indegree[s] == 0]
+    ready = deque(s for s in subsets if indegree[s] == 0)
     order = []
     while ready:
-        s = ready.pop(0)
+        s = ready.popleft()
         order.append(s)
         for t in outgoing[s]:
             indegree[t] -= 1
@@ -302,17 +298,30 @@ def to_dot(l: Lattice) -> str:
     return "\n".join(lines) + "\n"
 
 
+_encode_string = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def _json_list(items: list[str]) -> str:
+    """A list-valued top-level member in the ``indent=2`` layout."""
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+
+
 def to_json(l: Lattice) -> str:
-    doc = {
-        "states": list(range(l.n_states)),
-        "initial": l.initial,
-        "final": l.final,
-        "edges": [
-            {"from": e.src, "to": e.dst, "surface": e.label.surface, "tag": e.label.notation()}
-            for e in l.edges
-        ],
-    }
-    return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+    """The document ``{"states", "initial", "final", "edges"}``, laid out
+    byte for byte as ``json.dumps(doc, ensure_ascii=False, indent=2)``
+    plus a newline.  Only the strings go through the encoder, which stays
+    on its C path without ``indent``."""
+    edges = [
+        f'{{\n      "from": {e.src},\n      "to": {e.dst},\n'
+        f'      "surface": {_encode_string(e.label.surface)},\n'
+        f'      "tag": {_encode_string(e.label.notation())}\n    }}'
+        for e in l.edges
+    ]
+    return (
+        f'{{\n  "states": {_json_list([str(q) for q in range(l.n_states)])},\n'
+        f'  "initial": {l.initial},\n  "final": {l.final},\n'
+        f'  "edges": {_json_list(edges)}\n}}\n'
+    )
 
 
 def from_json(text: str, categories: Iterable[str]) -> Lattice:

@@ -206,8 +206,6 @@ def build_initial_lattice(tokens: list[Token], lexicon: Lexicon) -> Lattice:
             raise UnknownWordError(token)
         for entry in entries:
             for tag in expand_entry(entry):
-                if tag.surface != token.lookup:
-                    tag = CompleteTag(token.lookup, tag.lemma, tag.category, tag.features, False)
                 edges.append((i, i + 1, tag))
         for entry in compound_matches(tokens, i, lexicon):
             for tag in expand_entry(entry):

@@ -33,6 +33,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 from .errors import TagFormatError
@@ -48,6 +49,27 @@ _GENDER = "mf"
 _NUMBER = "sp"
 
 FeatureSet = frozenset
+
+
+class _computed_once:
+    """Attribute computed on first access and stored on the instance,
+    like ``functools.cached_property`` but without the lock that class
+    takes on every first access before Python 3.12.  Labels are created by
+    the thousand per lattice, so that lock shows in profiles."""
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.name = compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = self.compute(instance)
+        # object.__setattr__ gets past the frozen dataclass guard without
+        # touching ``__dict__``, which would slow every later attribute read
+        object.__setattr__(instance, self.name, value)
+        return value
 
 
 def _atom_rank(atom: str) -> int:
@@ -79,6 +101,7 @@ def parse_features(text: str, *, validate: bool = False) -> FeatureSet:
     return frozenset(atoms)
 
 
+@lru_cache(maxsize=4096)
 def format_features(features: FeatureSet) -> str:
     return "".join(sorted(features, key=lambda a: (_atom_rank(a), a)))
 
@@ -92,6 +115,10 @@ class Category:
     traits: tuple[str, ...] = ()
 
     def __str__(self) -> str:
+        return self._text
+
+    @_computed_once
+    def _text(self) -> str:
         parts = [self.main]
         parts.extend(f";{s}" for s in self.subcats)
         parts.extend(f"[{t}]" for t in self.traits)
@@ -135,9 +162,27 @@ class CompleteTag:
     compound: bool = False
 
     def notation(self) -> str:
+        return self._notation
+
+    @_computed_once
+    def _notation(self) -> str:
         feats = format_features(self.features)
         tail = f":{feats}" if feats else ""
         return f"<{self.lemma} {self.category}{tail}>"
+
+    @_computed_once
+    def sort_key(self) -> tuple:
+        """Total, injective ordering key over edge labels: separators
+        first, then tags by surface, lemma, category, features and
+        compoundness."""
+        return (
+            1,
+            self.surface,
+            self.lemma,
+            str(self.category),
+            format_features(self.features),
+            self.compound,
+        )
 
     def display(self) -> str:
         """Lexicon-entry style rendering, ``lemma.CAT:FEATS``."""
@@ -158,6 +203,11 @@ class Separator:
 
     def notation(self) -> str:
         return self.char
+
+    @_computed_once
+    def sort_key(self) -> tuple:
+        """Separators sort before tags; see ``CompleteTag.sort_key``."""
+        return (0, self.char, "", "", "", False)
 
 
 @dataclass(frozen=True)
@@ -303,6 +353,55 @@ def conforms(label: EdgeLabel, pattern: IncompleteTag) -> bool:
     raise TypeError(f"not an incomplete tag: {pattern!r}")
 
 
+class ConformityTable:
+    """``conforms`` compiled over a fixed pattern sequence.
+
+    ``mask(label)`` has bit ``i`` set exactly when
+    ``conforms(label, patterns[i])``.  Patterns are grouped by the one
+    label field they test for equality, so a mask costs a few dictionary
+    lookups and feature-inclusion tests, whatever the number of patterns.
+    """
+
+    def __init__(self, patterns: Iterable[IncompleteTag]):
+        self.separators: dict[str, int] = {}
+        self.surfaces: dict[str, int] = {}
+        self.any_word = 0
+        mains: dict[str, dict[FeatureSet, int]] = {}
+        lemmas: dict[str, dict[FeatureSet, int]] = {}
+        for i, pattern in enumerate(patterns):
+            bit = 1 << i
+            if isinstance(pattern, Separator):
+                self.separators[pattern.char] = self.separators.get(pattern.char, 0) | bit
+            elif isinstance(pattern, AnyWord):
+                self.any_word |= bit
+            elif isinstance(pattern, SurfaceForm):
+                self.surfaces[pattern.form] = self.surfaces.get(pattern.form, 0) | bit
+            elif isinstance(pattern, CategoryPattern):
+                by_features = mains.setdefault(pattern.main, {})
+                by_features[pattern.features] = by_features.get(pattern.features, 0) | bit
+            elif isinstance(pattern, LemmaPattern):
+                by_features = lemmas.setdefault(pattern.lemma, {})
+                by_features[pattern.features] = by_features.get(pattern.features, 0) | bit
+            else:
+                raise TypeError(f"not an incomplete tag: {pattern!r}")
+        # field value -> ((required features, bits), ...)
+        self.mains = {k: tuple(v.items()) for k, v in mains.items()}
+        self.lemmas = {k: tuple(v.items()) for k, v in lemmas.items()}
+
+    def mask(self, label: EdgeLabel) -> int:
+        if isinstance(label, Separator):
+            return self.separators.get(label.char, 0)
+        bits = 0 if label.compound else self.any_word | self.surfaces.get(label.surface, 0)
+        features = label.features
+        for required, group in self.mains.get(label.category.main, ()):
+            if required <= features:
+                bits |= group
+        for required, group in self.lemmas.get(label.lemma, ()):
+            if required <= features:
+                bits |= group
+        return bits
+
+
 def equivalent(a: Sequence[EdgeLabel], b: Sequence[EdgeLabel]) -> bool:
     """True iff two tag sequences describe the same text with the same
     delimitation into simple and compound words: equal length and
@@ -314,20 +413,6 @@ def equivalent(a: Sequence[EdgeLabel], b: Sequence[EdgeLabel]) -> bool:
     return all(
         x.surface == y.surface and isinstance(x, Separator) == isinstance(y, Separator)
         for x, y in zip(a, b)
-    )
-
-
-def label_sort_key(label: EdgeLabel):
-    """Total, injective ordering key over edge labels."""
-    if isinstance(label, Separator):
-        return (0, label.char, "", "", "", False)
-    return (
-        1,
-        label.surface,
-        label.lemma,
-        str(label.category),
-        format_features(label.features),
-        label.compound,
     )
 
 

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from locgram.errors import EnumerationOverflow, LatticeFormatError
@@ -13,7 +15,7 @@ from locgram.lattice import (
     to_json,
     trim,
 )
-from locgram.tags import parse_complete_tag
+from locgram.tags import Category, CompleteTag, Separator, parse_complete_tag
 
 CATS = ("V", "N", "A", "ADV", "PRO", "DET", "PREP", "CNJS", "CNJC", "XI", "INT")
 
@@ -190,3 +192,32 @@ class TestJson:
     def test_invalid_json_rejected(self, categories):
         with pytest.raises(LatticeFormatError):
             from_json("{", categories)
+
+    def test_layout_matches_json_dumps(self, lattices):
+        def reference(l):
+            doc = {
+                "states": list(range(l.n_states)),
+                "initial": l.initial,
+                "final": l.final,
+                "edges": [
+                    {"from": e.src, "to": e.dst, "surface": e.label.surface, "tag": e.label.notation()}
+                    for e in l.edges
+                ],
+            }
+            return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+
+        awkward = [
+            CompleteTag('dit "oui"', 'dire/"oui"', Category("V"), frozenset("P3s"), True),
+            CompleteTag("a\\b", "a\\b", Category("N", ("NA",), ("+Préd",)), frozenset("ms")),
+            CompleteTag("tab\tnl\ncr\r\x00\x1f", "ctl\x7f", Category("ADV")),
+            CompleteTag("ça—’«»", "çà/œ", Category("PRO"), frozenset("3fp"), True),
+            CompleteTag("\U0001f600\u2028", "emoji", Category("INT")),
+        ]
+        cases = [
+            *lattices.values(),
+            Lattice.build(0, 0, []),
+            Lattice.build(0, 1, [], extra_states=(0, 1)),
+            Lattice.build(0, 2, [(0, 1, lab) for lab in awkward] + [(1, 2, Separator("’"))]),
+        ]
+        for l in cases:
+            assert to_json(l) == reference(l)

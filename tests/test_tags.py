@@ -2,14 +2,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from locgram.errors import TagFormatError
+from locgram.grammar import LocalGrammar, Transition
 from locgram.tags import (
     AnyWord,
     Category,
     CategoryPattern,
     CompleteTag,
+    ConformityTable,
     LemmaPattern,
     Separator,
     SurfaceForm,
+    SEPARATOR_CHARS,
     conforms,
     equivalent,
     format_features,
@@ -257,3 +260,56 @@ def test_feature_formatting_order():
     assert format_features(parse_features("s3P")) == "P3s"
     assert format_features(parse_features("msK")) == "Kms"
     assert format_features(frozenset()) == ""
+
+
+surfaces = st.sampled_from(["suis", "être", "fait", "ne", "coup fumant", "sur le moment"])
+separators = st.sampled_from(list(SEPARATOR_CHARS)).map(Separator)
+edge_labels = st.one_of(
+    complete_tags,
+    # out-of-band surfaces, and compoundness independent of the surface, so
+    # that surface-form and <MOT> patterns meet compounds spelled like them
+    st.builds(CompleteTag, surfaces, lemmas, cats, features, st.booleans()),
+    separators,
+)
+patterns = st.one_of(
+    st.builds(LemmaPattern, lemmas, features),
+    st.builds(CategoryPattern, st.sampled_from(CATS), features),
+    st.builds(SurfaceForm, surfaces),
+    st.just(AnyWord()),
+    separators,
+)
+
+
+@given(st.lists(edge_labels, min_size=1, max_size=6), st.lists(st.tuples(patterns, patterns), max_size=12))
+def test_compiled_masks_agree_with_conforms(labels, pairs):
+    transitions = tuple(Transition("I", "F", inp, out) for inp, out in pairs)
+    compiled = LocalGrammar("g", ("I", "F"), "I", frozenset({"F"}), transitions).compiled
+    for label in labels:
+        in_mask, out_mask = compiled.inputs.mask(label), compiled.outputs.mask(label)
+        for i, t in enumerate(transitions):
+            assert bool(in_mask >> i & 1) == conforms(label, t.inp)
+            assert bool(out_mask >> i & 1) == conforms(label, t.out)
+        assert in_mask >> len(transitions) == 0
+        assert out_mask >> len(transitions) == 0
+
+
+def test_conformity_table_rejects_non_patterns():
+    with pytest.raises(TypeError):
+        ConformityTable([complete("<fait N:ms>")])
+
+
+@given(edge_labels)
+def test_sort_key_is_the_field_tuple(label):
+    if isinstance(label, Separator):
+        expected = (0, label.char, "", "", "", False)
+    else:
+        expected = (
+            1,
+            label.surface,
+            label.lemma,
+            str(label.category),
+            format_features(label.features),
+            label.compound,
+        )
+    assert label.sort_key == expected
+    assert label.sort_key is label.sort_key
