@@ -1,0 +1,86 @@
+#!/usr/bin/env python3
+"""Print one sha256 per kind of pipeline output, so that two checkouts can
+be compared for byte-identical output with one command each.
+
+The inputs are the bundled demo corpus under each bundled grammar and
+their union, plus seeded ``randgen.random_instance`` draws in the three
+grammar modes.  For every (lattice, grammar) pair the digests cover
+``to_json`` of the initial, filtered and minimised lattices, ``to_dot`` of
+the three, and the ``silence_check`` report lines.  A random instance's
+corpus is its own text with the first few lattice paths as gold taggings.
+
+    PYTHONPATH=src python scripts/output_digest.py --trials 200
+
+Run it in two checkouts with the same arguments; the outputs must match.
+"""
+
+import argparse
+import hashlib
+import random
+
+from locgram import build_initial_lattice, fixtures, tokenize, union
+from locgram.engine import CorpusItem, filter as filter_lattice, load_corpus, silence_check
+from locgram.lattice import enumerate_paths, minimize, path_labels, to_dot, to_json
+from locgram.randgen import random_instance
+
+KINDS = ("initial_json", "filtered_json", "minimized_json", "dot", "silence_lines")
+
+
+class Digests:
+    def __init__(self):
+        self.hashes = {kind: hashlib.sha256() for kind in KINDS}
+
+    def add(self, kind: str, text: str) -> None:
+        self.hashes[kind].update(text.encode("utf-8") + b"\0")
+
+    def pipeline(self, grammar, lattice, corpus, lexicon) -> None:
+        filtered = filter_lattice(grammar, lattice)
+        minimized = minimize(filtered)
+        self.add("initial_json", to_json(lattice))
+        self.add("filtered_json", to_json(filtered))
+        self.add("minimized_json", to_json(minimized))
+        for l in (lattice, filtered, minimized):
+            self.add("dot", to_dot(l))
+        self.add("silence_lines", "\n".join(silence_check(grammar, corpus, lexicon).lines()))
+
+
+def gold_corpus(text: str, lattice, paths: int) -> list:
+    """The text once per enumerated path, that path as its gold tagging."""
+    enum = enumerate_paths(lattice, paths)
+    return [
+        CorpusItem(f"p{k}", text, " ".join(label.notation() for label in path_labels(p)))
+        for k, p in enumerate(enum.paths)
+    ]
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--trials", type=int, default=200, help="random instances per mode")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--paths", type=int, default=8, help="gold taggings per random instance")
+    args = parser.parse_args()
+
+    digests = Digests()
+    lexicon = fixtures.core_lexicon()
+    grammars = [fixtures.grammar(name) for name in fixtures.GRAMMAR_FILES]
+    grammars.append(union(grammars))
+    with open(fixtures.corpus_path(), encoding="utf-8") as f:
+        corpus = load_corpus(f)
+    for item in corpus:
+        lattice = build_initial_lattice(tokenize(item.text), lexicon)
+        for g in grammars:
+            digests.pipeline(g, lattice, [item], lexicon)
+
+    for mode in ("general", "simple", "oii"):
+        rng = random.Random(f"{args.seed}:{mode}")
+        for _ in range(args.trials):
+            inst = random_instance(rng, mode=mode)
+            corpus = gold_corpus(inst.text, inst.lattice, args.paths)
+            digests.pipeline(inst.grammar, inst.lattice, corpus, inst.lexicon)
+
+    for kind in KINDS:
+        print(f"{kind:15s} {digests.hashes[kind].hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

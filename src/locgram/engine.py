@@ -35,7 +35,6 @@ with.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
@@ -48,9 +47,9 @@ from .lattice import (
     Edge,
     Lattice,
     Path,
+    _live_edges,
     enumerate_paths,
     path_labels,
-    trim,
 )
 from .lexicon import Lexicon, build_initial_lattice, tokenize
 from .tags import (
@@ -263,9 +262,14 @@ def _decompose(
     return Decomposition(blocks) if blocks is not None else None
 
 
-def decompose(g: LocalGrammar, p: Path, l: Lattice) -> Decomposition | None:
-    """Witness partition under the general rule, or None when rejected."""
-    return _decompose(g, p, l, step_mask=_witness_mask(g, l), index=matchable(l, g))
+def decompose(
+    g: LocalGrammar, p: Path, l: Lattice, *, index: MatchableIndex | None = None
+) -> Decomposition | None:
+    """Witness partition under the general rule, or None when rejected.
+    ``index`` is ``matchable(l, g)``, for a caller that already has it."""
+    if index is None:
+        index = matchable(l, g)
+    return _decompose(g, p, l, step_mask=_witness_mask(g, l), index=index)
 
 
 def accepts(g: LocalGrammar, p: Path, l: Lattice) -> bool:
@@ -302,8 +306,10 @@ def filter(g: LocalGrammar, l: Lattice) -> Lattice:
     (lattice state, mode) where mode is free or an in-portion transducer
     state; free moves need an unmatchable source state, portion moves
     follow the transducer checking outputs against the edge and inputs
-    against same-span edges of the original lattice.  An empty result is
-    permitted; callers can test ``is_empty_language``.
+    against same-span edges of the original lattice.  Product edges that
+    lie on no start-to-goal path are dropped from the raw edge list, so the
+    result is trim as built: one ``Lattice.build``, no rebuild by ``trim``.
+    An empty result is permitted; callers can test ``is_empty_language``.
     """
     index = matchable(l, g)
     steps = g.compiled.steps
@@ -312,13 +318,12 @@ def filter(g: LocalGrammar, l: Lattice) -> Lattice:
     witness_mask = _witness_mask(g, l)
     portion = {q: tuple(map(witness_mask, es)) for q, es in by_source.items()}
 
-    start = (l.initial, _FREE)
-    goal = (l.final, _FREE)
+    # Product states are numbered in discovery order; ``states`` is also
+    # the breadth-first worklist, which the loop extends as it walks it.
+    states = [(l.initial, _FREE)]
+    number = {states[0]: 0}
     product_edges = []
-    seen = {start}
-    worklist = deque([start])
-    while worklist:
-        q, mode = worklist.popleft()
+    for src, (q, mode) in enumerate(states):
         for e, ok in zip(by_source[q], portion[q]):
             targets = []
             if mode is _FREE:
@@ -334,12 +339,13 @@ def filter(g: LocalGrammar, l: Lattice) -> Lattice:
                         if tr.dst in finals:
                             targets.append((e.dst, _FREE))
             for target in targets:
-                product_edges.append(((q, mode), target, e.label))
-                if target not in seen:
-                    seen.add(target)
-                    worklist.append(target)
-    built = Lattice.build(start, goal, product_edges, extra_states=(start, goal))
-    return trim(built)
+                dst = number.get(target)
+                if dst is None:
+                    dst = number[target] = len(states)
+                    states.append(target)
+                product_edges.append((src, dst, e.label))
+    goal = number.get((l.final, _FREE), len(states))
+    return Lattice.build(0, goal, _live_edges(0, goal, product_edges))
 
 
 def filter_oracle(g: LocalGrammar, l: Lattice, limit: int = DEFAULT_PATH_LIMIT) -> Lattice:
@@ -364,28 +370,24 @@ def _trie_lattice(sequences: Iterable[tuple]) -> Lattice:
         return Lattice.build(0, 1, [], extra_states=(0, 1))
     if sequences == [()]:
         return Lattice.build(0, 0, [])
-    root = ()
+    # Trie nodes are ints: the root 0, one shared leaf END, and each inner
+    # node numbered when first reached.  Edges are listed in order of
+    # first use.  Labels are keyed by their injective sort key, whose
+    # hash, unlike the label's own, costs no Python call.
+    END = -1
     edges = []
-    children: dict[tuple, dict] = {}
+    targets: dict[tuple, int] = {}  # (node, label key, is last label) -> node
     for seq in sequences:
-        node = root
-        for i, label in enumerate(seq):
-            if i == len(seq) - 1:
-                edges.append((node, "END", label))
-            else:
-                node_children = children.setdefault(node, {})
-                if label not in node_children:
-                    node_children[label] = node + (label,)
-                child = node_children[label]
-                edges.append((node, child, label))
-                node = child
-    deduped = []
-    seen = set()
-    for edge in edges:
-        if edge not in seen:
-            seen.add(edge)
-            deduped.append(edge)
-    return Lattice.build(root, "END", deduped)
+        node = 0
+        for i, label in enumerate(seq, 1):
+            last = i == len(seq)
+            key = (node, label.sort_key, last)
+            target = targets.get(key)
+            if target is None:
+                target = targets[key] = END if last else len(targets) + 1
+                edges.append((node, target, label))
+            node = target
+    return Lattice.build(0, END, edges)
 
 
 @dataclass(frozen=True)
@@ -461,53 +463,51 @@ def resolve_tag_sequence(l: Lattice, labels: Sequence[EdgeLabel]) -> Path | None
     return walk(l.initial, 0, [])
 
 
-def _failure_span(g: LocalGrammar, p: Path, l: Lattice) -> tuple:
-    """Diagnostic for a rejected path: the furthest position reachable by
-    valid portions, extended over the longest portion attempt stuck there."""
-    edges = tuple(p)
-    m = len(edges)
-    index = matchable(l, g)
+def _portion_walk(g: LocalGrammar, ok: Sequence[int], start: int) -> tuple[list[int], int]:
+    """Every transducer walk over path positions ``start..``, where
+    position ``i`` may take the transitions set in ``ok[i]``: the positions
+    where a matched portion can end, and the last position a walk
+    examined."""
     steps = g.compiled.steps
-    ok = list(map(_witness_mask(g, l), edges))
-
-    reach = {0}
-    worklist = [0]
-    while worklist:
-        i = worklist.pop()
-        if i >= m:
-            continue
-        nxt = []
-        if not index[edges[i].src]:
-            nxt.append(i + 1)
-        visited = {(i, g.initial)}
-        stack = [(i, g.initial)]
-        while stack:
-            pos, t = stack.pop()
-            if t in g.finals and pos > i:
-                nxt.append(pos)
-            if pos >= m:
-                continue
-            for bit, tr in steps[t]:
-                if ok[pos] & bit and (pos + 1, tr.dst) not in visited:
-                    visited.add((pos + 1, tr.dst))
-                    stack.append((pos + 1, tr.dst))
-        for j in nxt:
-            if j not in reach:
-                reach.add(j)
-                worklist.append(j)
-    stuck = max(reach)
-    touched = stuck  # last edge position examined by a portion attempt
-    visited = {(stuck, g.initial)}
-    stack = [(stuck, g.initial)]
+    ends = []
+    touched = start
+    visited = {(start, g.initial)}
+    stack = [(start, g.initial)]
     while stack:
         pos, t = stack.pop()
-        if pos >= m:
+        if t in g.finals and pos > start:
+            ends.append(pos)
+        if pos >= len(ok):
             continue
         touched = max(touched, pos)
         for bit, tr in steps[t]:
             if ok[pos] & bit and (pos + 1, tr.dst) not in visited:
                 visited.add((pos + 1, tr.dst))
                 stack.append((pos + 1, tr.dst))
+    return ends, touched
+
+
+def _failure_span(g: LocalGrammar, p: Path, l: Lattice, index: MatchableIndex) -> tuple:
+    """Diagnostic for a rejected path: the furthest position reachable by
+    valid portions, extended over the longest portion attempt stuck there."""
+    edges = tuple(p)
+    m = len(edges)
+    ok = list(map(_witness_mask(g, l), edges))
+    reach = {0}
+    worklist = [0]
+    while worklist:
+        i = worklist.pop()
+        if i >= m:
+            continue
+        ends, _ = _portion_walk(g, ok, i)
+        if not index[edges[i].src]:
+            ends.append(i + 1)
+        for j in ends:
+            if j not in reach:
+                reach.add(j)
+                worklist.append(j)
+    stuck = max(reach)
+    _, touched = _portion_walk(g, ok, stuck)
     return (stuck, touched + 1)
 
 
@@ -531,8 +531,10 @@ def silence_check(g: LocalGrammar, corpus: Sequence[CorpusItem], lexicon: Lexico
         if path is None:
             errors.append((item.sentence_id, "gold tagging is not admitted by the lexicon"))
             continue
-        if decompose(g, path, l) is None:
-            violations.append(SilenceViolation(item.sentence_id, _failure_span(g, path, l), g.name))
+        index = matchable(l, g)
+        if decompose(g, path, l, index=index) is None:
+            span = _failure_span(g, path, l, index)
+            violations.append(SilenceViolation(item.sentence_id, span, g.name))
     return SilenceReport(tuple(violations), tuple(errors))
 
 

@@ -6,6 +6,13 @@ complete tags or separators and are treated as opaque symbols: two labels
 are the same symbol only when structurally equal, surface included.
 Ambiguity reduction may shrink the path set while the number of states
 and transitions grows or shrinks independently.
+
+Every lattice is made by ``Lattice.build``, which numbers the states in
+topological order and sorts the edges.  The apply pipeline (initial
+lattice, ``engine.filter``, ``minimize``) builds exactly one lattice per
+stage: ``filter`` and ``trim`` drop the edges on no initial-to-final path
+from their raw edge lists before building, and ``minimize`` follows only
+useful states instead of rebuilding its input trim.
 """
 
 from __future__ import annotations
@@ -101,37 +108,39 @@ class Lattice:
 
     def is_empty_language(self) -> bool:
         """True when no path joins the initial to the final state."""
-        return self.final not in _forward_reachable(self)
+        return self.final not in _reachable(self.initial, (e[:2] for e in self.edges))
 
     def accepts_empty_path(self) -> bool:
         return self.initial == self.final
 
 
-def _forward_reachable(l: Lattice) -> set[int]:
-    reached = {l.initial}
-    stack = [l.initial]
+def _reachable(start: Hashable, arcs: Iterable[tuple[Hashable, Hashable]]) -> set:
+    """States reachable from ``start`` along ``(from, to)`` arcs."""
+    successors: dict[Hashable, list[Hashable]] = {}
+    for a, b in arcs:
+        successors.setdefault(a, []).append(b)
+    reached = {start}
+    stack = [start]
     while stack:
-        q = stack.pop()
-        for e in l.edges_by_source[q]:
-            if e.dst not in reached:
-                reached.add(e.dst)
-                stack.append(e.dst)
+        for b in successors.get(stack.pop(), ()):
+            if b not in reached:
+                reached.add(b)
+                stack.append(b)
     return reached
 
 
-def _backward_reachable(l: Lattice) -> set[int]:
-    incoming: dict[int, list[int]] = {q: [] for q in range(l.n_states)}
-    for e in l.edges:
-        incoming[e.dst].append(e.src)
-    reached = {l.final}
-    stack = [l.final]
-    while stack:
-        q = stack.pop()
-        for p in incoming[q]:
-            if p not in reached:
-                reached.add(p)
-                stack.append(p)
-    return reached
+def _co_reachable(final: Hashable, edges: Sequence[tuple]) -> set:
+    """States from which ``final`` is reachable over ``(src, dst, ...)``
+    edges."""
+    return _reachable(final, ((e[1], e[0]) for e in edges))
+
+
+def _live_edges(initial: Hashable, final: Hashable, edges: Sequence[tuple]) -> list:
+    """The ``(src, dst, label)`` edges on some initial-to-final path, in
+    their given order."""
+    forward = _reachable(initial, (e[:2] for e in edges))
+    backward = _co_reachable(final, edges)
+    return [e for e in edges if e[0] in forward and e[1] in backward]
 
 
 def path_labels(path: Sequence[Edge]) -> tuple[EdgeLabel, ...]:
@@ -180,10 +189,7 @@ def language_equal(a: Lattice, b: Lattice, limit: int = DEFAULT_PATH_LIMIT) -> b
 def trim(l: Lattice) -> Lattice:
     """Drop states and edges on no accepting path; the language is
     unchanged.  The initial and final states are always retained."""
-    useful = _forward_reachable(l) & _backward_reachable(l)
-    edges = [e for e in l.edges if e.src in useful and e.dst in useful]
-    keep = sorted(useful | {l.initial, l.final})
-    return Lattice.build(l.initial, l.final, edges, extra_states=keep)
+    return Lattice.build(l.initial, l.final, _live_edges(l.initial, l.final, l.edges))
 
 
 def minimize(l: Lattice) -> Lattice:
@@ -191,92 +197,81 @@ def minimize(l: Lattice) -> Lattice:
     sequence set: subset construction, then merging of states with equal
     right languages.
 
+    The subset construction follows only edges into useful states (states
+    from which the final state is reachable), so ``l`` need not be trim and
+    is never rebuilt: the result is the one lattice built.
+
     Lattices anchored on token boundaries have prefix-free path label sets;
     for other inputs whose minimal automaton would need a final state with
     outgoing edges, this raises rather than silently changing the language.
     """
-    l = trim(l)
-    if l.is_empty_language() and not l.accepts_empty_path():
+    useful = _co_reachable(l.final, l.edges)
+    if l.initial not in useful:
         return Lattice.build(0, 1, [], extra_states=(0, 1))
 
-    start = frozenset({l.initial})
-    subset_edges: list[tuple[frozenset, frozenset, EdgeLabel]] = []
-    subsets: list[frozenset] = [start]
-    worklist = deque([start])
-    seen = {start}
-    while worklist:
-        subset = worklist.popleft()
+    # Subset construction; subsets are numbered in discovery order, and
+    # ``subsets`` is also the breadth-first worklist, extended as it is walked.
+    subsets = [frozenset({l.initial})]
+    number = {subsets[0]: 0}
+    outgoing: list[list[tuple[EdgeLabel, int]]] = []  # per subset, in label order
+    for subset in subsets:
         moves: dict[tuple, tuple[EdgeLabel, set[int]]] = {}
         for q in subset:
             for e in l.edges_by_source[q]:
-                moves.setdefault(e.label.sort_key, (e.label, set()))[1].add(e.dst)
+                if e.dst in useful:
+                    moves.setdefault(e.label.sort_key, (e.label, set()))[1].add(e.dst)
+        out = []
         for key in sorted(moves):
             label, targets = moves[key]
             target = frozenset(targets)
-            subset_edges.append((subset, target, label))
-            if target not in seen:
-                seen.add(target)
+            t = number.get(target)
+            if t is None:
+                t = number[target] = len(subsets)
                 subsets.append(target)
-                worklist.append(target)
+            out.append((label, t))
+        outgoing.append(out)
 
-    outgoing: dict[frozenset, list[tuple[EdgeLabel, frozenset]]] = {s: [] for s in subsets}
-    for src, dst, label in subset_edges:
-        outgoing[src].append((label, dst))
-    is_final = {s: l.final in s for s in subsets}
+    # Merge bottom-up: subsets with equal finality and identical outgoing
+    # signatures (after merging their targets) fall in one class.  Each
+    # outgoing list is already in label order, one edge per label, so the
+    # signature needs no sorting.
+    is_final = [l.final in s for s in subsets]
+    state_class = [0] * len(subsets)
+    classes: dict[tuple, int] = {}
+    for s in reversed(_topological_order(outgoing)):
+        signature = (is_final[s], tuple((lab.sort_key, state_class[t]) for lab, t in outgoing[s]))
+        state_class[s] = classes.setdefault(signature, len(classes))
 
-    # Merge bottom-up: states with equal finality and identical outgoing
-    # signatures (after merging their targets) share one representative.
-    # Each subset's outgoing list is already in label order, one edge per
-    # label, so the signature needs no sorting.
-    order = _subset_topo_order(subsets, subset_edges)
-    representative: dict[frozenset, frozenset] = {}
-    by_signature: dict[tuple, frozenset] = {}
-    for subset in reversed(order):
-        signature = (
-            is_final[subset],
-            tuple((lab.sort_key, representative[dst]) for lab, dst in outgoing[subset]),
-        )
-        if signature in by_signature:
-            representative[subset] = by_signature[signature]
-        else:
-            by_signature[signature] = subset
-            representative[subset] = subset
-
-    final_classes = {representative[s] for s in subsets if is_final[s]}
-    merged = _merged_edges(subset_edges, representative)
-    if len(final_classes) != 1 or any(src in final_classes for src, _, _ in merged):
+    if len({c for c, final in zip(state_class, is_final) if final}) != 1 or any(
+        out for out, final in zip(outgoing, is_final) if final
+    ):
         raise LatticeFormatError("path label set is not prefix-free; cannot keep a single final state")
-    return Lattice.build(representative[start], final_classes.pop(), merged)
-
-
-def _merged_edges(subset_edges, representative):
+    # The members of a class have the same outgoing edges: take them from
+    # the first member discovered.
     merged = []
-    seen = set()
-    for src, dst, label in subset_edges:
-        edge = (representative[src], representative[dst], label)
-        key = (edge[0], edge[1], label.sort_key)
-        if key not in seen:
-            seen.add(key)
-            merged.append(edge)
-    return merged
+    emitted = set()
+    for s, out in enumerate(outgoing):
+        c = state_class[s]
+        if c not in emitted:
+            emitted.add(c)
+            merged.extend((c, state_class[t], lab) for lab, t in out)
+    return Lattice.build(state_class[0], state_class[is_final.index(True)], merged)
 
 
-def _subset_topo_order(subsets, subset_edges):
-    indegree = {s: 0 for s in subsets}
-    outgoing = {s: [] for s in subsets}
-    for src, dst, _ in subset_edges:
-        indegree[dst] += 1
-        outgoing[src].append(dst)
-    ready = deque(s for s in subsets if indegree[s] == 0)
-    order = []
-    while ready:
-        s = ready.popleft()
-        order.append(s)
-        for t in outgoing[s]:
+def _topological_order(outgoing: list[list[tuple[EdgeLabel, int]]]) -> list[int]:
+    """Kahn's order of the nodes ``0..n-1`` of a graph given as per-node
+    ``(label, target)`` lists."""
+    indegree = [0] * len(outgoing)
+    for out in outgoing:
+        for _, t in out:
+            indegree[t] += 1
+    order = [s for s, d in enumerate(indegree) if d == 0]
+    for s in order:  # extended as it is walked
+        for _, t in outgoing[s]:
             indegree[t] -= 1
             if indegree[t] == 0:
-                ready.append(t)
-    if len(order) != len(subsets):
+                order.append(t)
+    if len(order) != len(outgoing):
         raise LatticeFormatError("subset construction produced a cycle")
     return order
 

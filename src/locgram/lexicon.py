@@ -193,21 +193,30 @@ def build_initial_lattice(tokens: list[Token], lexicon: Lexicon) -> Lattice:
     whole token range as parallel branches; separators carry themselves.
     Unknown words abort (guessing would risk eliminating the correct
     analysis later, so it is deliberately unsupported).
+
+    Each analysis is one label object however often its word recurs in
+    the text, so what is computed once per label (sort key, notation) is
+    computed once per analysis.
     """
     edges = []
     n = len(tokens)
+    simple_tags: dict[str, tuple[CompleteTag, ...]] = {}
+    compound_tags: dict[LexiconEntry, tuple[CompleteTag, ...]] = {}
     for token in tokens:
         i = token.position
         if token.kind is TokenKind.SEPARATOR:
             edges.append((i, i + 1, Separator(token.text)))
             continue
-        entries = lexicon.simple.get(token.lookup)
-        if not entries:
-            raise UnknownWordError(token)
-        for entry in entries:
-            for tag in expand_entry(entry):
-                edges.append((i, i + 1, tag))
+        tags = simple_tags.get(token.lookup)
+        if tags is None:
+            tags = simple_tags[token.lookup] = lexicon.lookup(token.lookup)
+            if not tags:
+                raise UnknownWordError(token)
+        edges.extend((i, i + 1, tag) for tag in tags)
         for entry in compound_matches(tokens, i, lexicon):
-            for tag in expand_entry(entry):
-                edges.append((i, i + len(entry.surface_tokens), tag))
+            tags = compound_tags.get(entry)
+            if tags is None:
+                tags = compound_tags[entry] = expand_entry(entry)
+            k = len(entry.surface_tokens)
+            edges.extend((i, i + k, tag) for tag in tags)
     return Lattice.build(initial=0, final=n, edges=edges, extra_states=range(n + 1))

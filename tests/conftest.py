@@ -2,6 +2,7 @@ import pytest
 
 from locgram import build_initial_lattice, fixtures, tokenize
 from locgram.engine import parse_tag_sequence, resolve_tag_sequence
+from locgram.lattice import Lattice
 
 SENTENCES = {
     "confirm-chain": "Cela vient de ce que je ne me le suis pas fait confirmer aussitôt",
@@ -46,3 +47,17 @@ def find_path(categories):
         return path
 
     return _find
+
+
+@pytest.fixture
+def build_calls(monkeypatch):
+    """A list that grows by one entry per ``Lattice.build`` call."""
+    calls = []
+    build = Lattice.build.__func__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(1)
+        return build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Lattice, "build", classmethod(counting))
+    return calls

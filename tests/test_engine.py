@@ -1,6 +1,8 @@
 import json
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from locgram import build_initial_lattice, tokenize, union
 from locgram.engine import (
@@ -19,7 +21,8 @@ from locgram.engine import (
 )
 from locgram.errors import CorpusFormatError
 from locgram.grammar import load_grammar
-from locgram.lattice import enumerate_paths, language, language_equal, trim
+from locgram.lattice import enumerate_paths, language, language_equal, minimize, to_json, trim
+from locgram.randgen import random_instance
 CATS = ("V", "N", "A", "ADV", "PRO", "DET", "PREP", "CNJS", "CNJC", "XI", "INT")
 
 CONFIRM_CHAIN_GOOD = (
@@ -266,6 +269,37 @@ class TestFilter:
         for a, b in itertools.combinations(grammars.values(), 2):
             u = union([a, b])
             assert language_equal(filter_lattice(u, l), filter_oracle(u, l)), u.name
+
+    def test_result_is_trim_on_fixture_pairs(self, grammars, lattices):
+        members = list(grammars.values())
+        for key, l in lattices.items():
+            for g in members + [union(members)]:
+                f = filter_lattice(g, l)
+                assert trim(f) == f, (key, g.name)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["general", "simple", "oii"]))
+    def test_result_is_trim_on_random_instances(self, seed, mode):
+        # random grammars leave many dead product states behind
+        inst = random_instance(random.Random(seed), mode=mode)
+        f = filter_lattice(inst.grammar, inst.lattice)
+        assert trim(f) == f
+
+    def test_builds_one_lattice(self, grammars, lattices, build_calls):
+        for g in grammars.values():
+            build_calls.clear()
+            filter_lattice(g, lattices["accounts"])
+            assert len(build_calls) == 1, g.name
+
+    def test_apply_pipeline_builds_three_lattices(self, grammars, lexicon, build_calls):
+        # initial, filtered and minimised: no intermediate rebuilds
+        g = union(list(grammars.values()))
+        build_calls.clear()
+        l = build_initial_lattice(tokenize("Ne fait-il les comptes que pour rendre service ?"), lexicon)
+        f = filter_lattice(g, l)
+        to_json(f)
+        to_json(minimize(f))
+        assert len(build_calls) == 3
 
     def test_empty_lattice_passes_through(self, grammars, lexicon):
         l = build_initial_lattice([], lexicon)

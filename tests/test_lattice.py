@@ -120,6 +120,20 @@ class TestMinimize:
             again = minimize(m)
             assert (again.n_states, len(again.edges)) == (m.n_states, len(m.edges)), key
 
+    def test_dead_branches_are_not_followed(self):
+        # dead ends: a second A-edge out of the initial state, a C-edge
+        # to a state that never reaches the final one, and an edge out of
+        # the final state itself; minimize follows none of them and gives
+        # what it gives on the trim lattice
+        l = Lattice.build(
+            0,
+            2,
+            [(0, 1, A), (1, 2, B), (0, 3, A), (0, 4, C), (3, 5, D), (2, 6, D)],
+        )
+        assert trim(l) != l
+        assert minimize(l) == minimize(trim(l))
+        assert language_equal(minimize(l), l)
+
     def test_non_prefix_free_language_rejected(self):
         # a valid single-final acyclic lattice can still encode one label
         # sequence as a prefix of another; its minimal deterministic form
@@ -137,6 +151,15 @@ class TestMinimize:
         filtered = filter_lattice(grammars["de-ce-que-chain"], l)
         m = minimize(filtered)
         assert language_equal(m, filtered)
+
+
+class TestBuildCount:
+    def test_minimize_builds_only_its_result(self, lattices, build_calls):
+        trimmed = [trim(l) for l in lattices.values()]
+        build_calls.clear()
+        for l in trimmed:
+            minimize(l)
+        assert len(build_calls) == len(trimmed)
 
 
 class TestLanguageEqual:

@@ -108,6 +108,16 @@ class TestBuildInitialLattice:
     def test_period_is_separator_edge(self, lattices):
         assert any(e.label == Separator(".") for e in lattices["railway"].edges)
 
+    def test_repeated_word_shares_labels_within_one_call(self, lexicon):
+        text = "Je ne me le suis pas fait confirmer sur le moment"
+        l = build_initial_lattice(tokenize(text), lexicon)
+        first, second = l.labels_by_span[(3, 4)], l.labels_by_span[(9, 10)]
+        assert len(first) > 1
+        assert all(a is b for a, b in zip(first, second, strict=True))
+        # nothing is kept across calls
+        again = build_initial_lattice(tokenize(text), lexicon)
+        assert not any(a is b for a, b in zip(first, again.labels_by_span[(3, 4)]))
+
     def test_unknown_word_aborts_with_token(self, lexicon):
         with pytest.raises(UnknownWordError) as info:
             build_initial_lattice(tokenize("Il traverse le pont"), lexicon)
