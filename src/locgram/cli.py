@@ -2,8 +2,9 @@
 checking, and oracle cross-checks.
 
 Exit codes: 0 ok, 1 silence violations (or oracle mismatch), 2 unknown
-word, 3 empty filtering result, 4 bad grammar/lexicon/corpus input,
-5 enumeration overflow.
+word, 3 empty filtering result, 4 bad grammar/lexicon/corpus input or
+option value, 5 enumeration overflow, 6 internal error (reported with its
+traceback; a crash is never a verdict).
 """
 
 from __future__ import annotations
@@ -291,6 +292,9 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     config = _config_from(args)
+    if config.limit < 1:
+        print(f"error: --limit must be positive, not {config.limit}", file=sys.stderr)
+        return 4
     try:
         if args.command == "tag":
             out = cmd_tag(config, args.text)
@@ -324,13 +328,19 @@ def main(argv: list[str] | None = None) -> int:
         CorpusFormatError,
         LatticeFormatError,
         TagFormatError,
-        FileNotFoundError,
+        OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except EnumerationOverflow as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
+    except Exception as exc:
+        import traceback  # only a crash needs it; every CLI start would pay for it
+
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        traceback.print_exc()
+        return 6
 
 
 def run() -> None:

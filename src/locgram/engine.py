@@ -30,6 +30,9 @@ dictionary lookups, and each step of a matched portion is one ``&`` of
 the edge's output mask, its span's input mask and the transition's bit.
 ``tags.conforms`` stays the reference predicate the table must agree
 with.
+
+Every walk is iterative, over lattice states in topological order or path
+positions in order, so no sentence length meets Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import reduce
-from operator import or_
+from operator import itemgetter, or_
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import CorpusFormatError, EnumerationOverflow
@@ -103,29 +106,32 @@ def _match_index(l: Lattice, g: LocalGrammar, masks: EdgeMasks) -> MatchableInde
     input sequence of the grammar, edge by edge, where an edge may take
     the transitions set in its mask?
 
-    Product reachability over (lattice state, grammar state); the lattice
-    is acyclic, so grammar cycles are bounded by the remaining depth.
+    A backward pass over the lattice states.  Every step consumes an edge
+    and states are numbered in topological order, so a state's successors
+    are settled before it, whatever cycles the grammar has.  ``lands[q]``
+    holds the bits of the transitions into grammar states from which some
+    path out of lattice state ``q`` completes an input sequence.
     """
     by_source = l.edges_by_source
-    steps = g.compiled.steps
-    memo: dict[tuple, bool] = {}
-
-    def walk(q: int, t) -> bool:
-        if t in g.finals:
-            return True
-        key = (q, t)
-        if key in memo:
-            return memo[key]
-        memo[key] = False
-        result = any(
-            m & bit and walk(e.dst, tr.dst)
-            for e, m in zip(by_source[q], masks[q])
-            for bit, tr in steps[t]
+    into = dict.fromkeys(g.states, 0)
+    leaving = dict.fromkeys(g.states, 0)
+    for i, t in enumerate(g.transitions):
+        into[t.dst] |= 1 << i
+        leaving[t.src] |= 1 << i
+    lands_final = reduce(or_, (into[s] for s in g.finals), 0)
+    non_final = [(leaving[s], into[s]) for s in g.states if s not in g.finals]
+    lands = [0] * l.n_states
+    live = [0] * l.n_states  # per state: the transitions some path out of it can take
+    for q in range(l.n_states - 1, -1, -1):
+        for e, m in zip(by_source[q], masks[q]):
+            live[q] |= m & lands[e.dst]
+        lands[q] = reduce(
+            or_, (in_bits for out_bits, in_bits in non_final if out_bits & live[q]), lands_final
         )
-        memo[key] = result
-        return result
-
-    return {q: walk(q, g.initial) for q in range(l.n_states)}
+    if g.initial in g.finals:
+        return dict.fromkeys(range(l.n_states), True)
+    start = leaving[g.initial]
+    return {q: bool(start & live[q]) for q in range(l.n_states)}
 
 
 def matchable(l: Lattice, g: LocalGrammar) -> MatchableIndex:
@@ -183,7 +189,6 @@ def _own_mask(g: LocalGrammar) -> Callable[[Edge], int]:
 
 def _check_path(l: Lattice, p: Sequence[Edge]) -> tuple:
     edges = tuple(p)
-    edge_set = set(l.edges)
     if not edges:
         if l.initial != l.final:
             raise ValueError("empty sequence is not a path of this lattice")
@@ -194,7 +199,7 @@ def _check_path(l: Lattice, p: Sequence[Edge]) -> tuple:
         if a.dst != b.src:
             raise ValueError("sequence edges are not consecutive")
     for e in edges:
-        if e not in edge_set:
+        if e not in l.edges_by_source.get(e.src, ()):
             raise ValueError(f"edge {e!r} does not belong to the lattice")
     return edges
 
@@ -207,59 +212,36 @@ def _decompose(
     step_mask: Callable[[Edge], int],
     index: MatchableIndex,
 ) -> Decomposition | None:
-    """Dynamic programming over path positions.  Matched portions take the
-    transitions ``step_mask`` allows over each edge: checking the path's
-    own tags against inputs (``_own_mask``), or any same-span edge of the
-    lattice (``_witness_mask``), which realizes equivalence: same text,
-    same delimitation.  Any valid partition suffices."""
+    """Dynamic programming over path positions, from the last to the first.
+    Matched portions take the transitions ``step_mask`` allows over each
+    edge: checking the path's own tags against inputs (``_own_mask``), or
+    any same-span edge of the lattice (``_witness_mask``), which realizes
+    equivalence: same text, same delimitation.  Any valid partition
+    suffices; from each position a free portion is preferred, then the
+    matched portion with the nearest end."""
     edges = _check_path(l, p)
     m = len(edges)
-    steps = g.compiled.steps
     ok = [step_mask(e) for e in edges]
-
-    def blocks_from(i: int):
-        # transducer paths consuming edges i.. ; yields (end, pairs) in
-        # deterministic discovery order; one visit per (position, state)
-        found = []
-        visited = {(i, g.initial)}
-        stack = [(i, g.initial, ())]
-        while stack:
-            pos, t, pairs = stack.pop()
-            if t in g.finals and pos > i:
-                found.append((pos, pairs))
-            if pos >= m:
-                continue
-            for bit, tr in reversed(steps[t]):
-                if (pos + 1, tr.dst) in visited:
-                    continue
-                if ok[pos] & bit:
-                    visited.add((pos + 1, tr.dst))
-                    stack.append((pos + 1, tr.dst, pairs + ((tr.inp, tr.out),)))
-        found.sort(key=lambda item: item[0])
-        return found
-
-    memo: dict[int, tuple | None] = {m: ()}
-
-    def solve(i: int):
-        if i in memo:
-            return memo[i]
-        memo[i] = None
-        result = None
-        if not index[edges[i].src]:
-            rest = solve(i + 1)
-            if rest is not None:
-                result = (FreeBlock(i),) + rest
-        if result is None:
-            for end, pairs in blocks_from(i):
-                rest = solve(end)
-                if rest is not None:
-                    result = (MatchedBlock(i, end, pairs),) + rest
-                    break
-        memo[i] = result
-        return result
-
-    blocks = solve(0)
-    return Decomposition(blocks) if blocks is not None else None
+    # first[i]: the first block of a partition of positions i.., and the
+    # position after it; None while no partition is known
+    first: list[tuple | None] = [None] * m + [()]
+    for i in range(m - 1, -1, -1):
+        if not index[edges[i].src] and first[i + 1] is not None:
+            first[i] = (FreeBlock(i), i + 1)
+            continue
+        portions, _ = _portion_walk(g, ok, i)
+        first[i] = next(
+            ((MatchedBlock(i, end, pairs), end) for end, pairs in portions if first[end] is not None),
+            None,
+        )
+    if first[0] is None:
+        return None
+    blocks = []
+    i = 0
+    while i < m:
+        block, i = first[i]
+        blocks.append(block)
+    return Decomposition(tuple(blocks))
 
 
 def decompose(
@@ -445,46 +427,55 @@ def _label_matches_gold(edge_label: EdgeLabel, gold: EdgeLabel) -> bool:
 
 def resolve_tag_sequence(l: Lattice, labels: Sequence[EdgeLabel]) -> Path | None:
     """Find a lattice path whose edges carry the given analyses, matching
-    separators literally and tags by lemma, category, and features."""
+    separators literally and tags by lemma, category, and features.  The
+    first such path in edge order, found depth-first with an explicit stack;
+    a (state, position) pair that led nowhere is never tried again."""
     by_source = l.edges_by_source
+    failed: set[tuple[int, int]] = set()
+    path: list[Edge] = []
+    pending = [iter(by_source[l.initial])]  # per state on the path: edges not yet tried
+    while pending:
+        i = len(path)
+        q = path[-1].dst if path else l.initial
+        if i == len(labels) and q == l.final:
+            return tuple(path)
+        for e in pending[-1] if i < len(labels) else ():
+            if (e.dst, i + 1) not in failed and _label_matches_gold(e.label, labels[i]):
+                path.append(e)
+                pending.append(iter(by_source[e.dst]))
+                break
+        else:
+            failed.add((q, i))
+            pending.pop()
+            if path:
+                path.pop()
+    return None
 
-    def walk(q: int, i: int, acc: list) -> Path | None:
-        if i == len(labels):
-            return tuple(acc) if q == l.final else None
-        for e in by_source[q]:
-            if _label_matches_gold(e.label, labels[i]):
-                acc.append(e)
-                found = walk(e.dst, i + 1, acc)
-                acc.pop()
-                if found is not None:
-                    return found
-        return None
 
-    return walk(l.initial, 0, [])
-
-
-def _portion_walk(g: LocalGrammar, ok: Sequence[int], start: int) -> tuple[list[int], int]:
+def _portion_walk(g: LocalGrammar, ok: Sequence[int], start: int) -> tuple[list, int]:
     """Every transducer walk over path positions ``start..``, where
-    position ``i`` may take the transitions set in ``ok[i]``: the positions
-    where a matched portion can end, and the last position a walk
-    examined."""
+    position ``i`` may take the transitions set in ``ok[i]``, visiting each
+    (position, transducer state) once: the matched portions that can start
+    there, as ``(end, pairs)`` by increasing end, and the last position a
+    walk examined."""
     steps = g.compiled.steps
-    ends = []
+    found = []
     touched = start
     visited = {(start, g.initial)}
-    stack = [(start, g.initial)]
+    stack = [(start, g.initial, ())]
     while stack:
-        pos, t = stack.pop()
+        pos, t, pairs = stack.pop()
         if t in g.finals and pos > start:
-            ends.append(pos)
+            found.append((pos, pairs))
         if pos >= len(ok):
             continue
         touched = max(touched, pos)
-        for bit, tr in steps[t]:
+        for bit, tr in reversed(steps[t]):
             if ok[pos] & bit and (pos + 1, tr.dst) not in visited:
                 visited.add((pos + 1, tr.dst))
-                stack.append((pos + 1, tr.dst))
-    return ends, touched
+                stack.append((pos + 1, tr.dst, pairs + ((tr.inp, tr.out),)))
+    found.sort(key=itemgetter(0))
+    return found, touched
 
 
 def _failure_span(g: LocalGrammar, p: Path, l: Lattice, index: MatchableIndex) -> tuple:
@@ -499,7 +490,8 @@ def _failure_span(g: LocalGrammar, p: Path, l: Lattice, index: MatchableIndex) -
         i = worklist.pop()
         if i >= m:
             continue
-        ends, _ = _portion_walk(g, ok, i)
+        portions, _ = _portion_walk(g, ok, i)
+        ends = [end for end, _ in portions]
         if not index[edges[i].src]:
             ends.append(i + 1)
         for j in ends:

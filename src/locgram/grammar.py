@@ -25,6 +25,7 @@ from functools import cached_property
 from typing import Hashable, Iterable, Sequence
 
 from .errors import GrammarFormatError
+from .lattice import _co_reachable, _reachable
 from .tags import (
     AnyWord,
     CategoryPattern,
@@ -102,29 +103,12 @@ def _validate(g: LocalGrammar) -> LocalGrammar:
     for t in g.transitions:
         if t.src not in states or t.dst not in states:
             raise GrammarFormatError(f"transition endpoint not declared: {t.src!r} -> {t.dst!r}")
-    by_source = g.by_source()
-    reached = {g.initial}
-    stack = [g.initial]
-    while stack:
-        for t in by_source[stack.pop()]:
-            if t.dst not in reached:
-                reached.add(t.dst)
-                stack.append(t.dst)
-    if reached != states:
-        missing = sorted(map(str, states - reached))
+    arcs = [(t.src, t.dst) for t in g.transitions]
+    missing = sorted(map(str, states - _reachable((g.initial,), arcs)))
+    if missing:
         raise GrammarFormatError(f"unreachable states: {', '.join(missing)}")
-    incoming: dict[Hashable, list[Hashable]] = {s: [] for s in g.states}
-    for t in g.transitions:
-        incoming[t.dst].append(t.src)
-    coreached = set(g.finals)
-    stack = list(g.finals)
-    while stack:
-        for src in incoming[stack.pop()]:
-            if src not in coreached:
-                coreached.add(src)
-                stack.append(src)
-    if coreached != states:
-        missing = sorted(map(str, states - coreached))
+    missing = sorted(map(str, states - _co_reachable(g.finals, arcs)))
+    if missing:
         raise GrammarFormatError(f"states reaching no final state: {', '.join(missing)}")
     return g
 
@@ -140,12 +124,16 @@ def load_grammar(text: str, categories: Iterable[str]) -> LocalGrammar:
         states = tuple(doc["states"])
         initial = doc["initial"]
         finals = frozenset(doc["finals"])
-        raw_transitions = doc["transitions"]
+        items = list(doc["transitions"])
+        # state ids become set members, so a list or an object is refused here
+        hash((states, initial, tuple((item["from"], item["to"]) for item in items)))
     except (KeyError, TypeError) as exc:
-        raise GrammarFormatError(f"missing grammar field: {exc}") from exc
+        raise GrammarFormatError(f"missing or malformed grammar field: {exc}") from exc
+    if not isinstance(name, str):
+        raise GrammarFormatError(f"grammar name must be a string, not {name!r}")
     categories = tuple(categories)
     transitions = []
-    for item in raw_transitions:
+    for item in items:
         try:
             inp = parse_incomplete_tag(item["in"], categories)
             out = parse_incomplete_tag(item["out"], categories)
@@ -235,19 +223,7 @@ def classify(g: LocalGrammar) -> GrammarClass:
 def input_sequences(g: LocalGrammar, max_len: int) -> frozenset:
     """All input label sequences along initial-to-final paths of length at
     most ``max_len`` (cycles are unrolled up to the bound)."""
-    by_source = g.by_source()
-    found: set[tuple] = set()
-
-    def walk(state: Hashable, acc: tuple) -> None:
-        if state in g.finals:
-            found.add(acc)
-        if len(acc) >= max_len:
-            return
-        for t in by_source[state]:
-            walk(t.dst, acc + (t.inp,))
-
-    walk(g.initial, ())
-    return frozenset(found)
+    return frozenset(tuple(i for i, _ in s) for s in path_label_pairs(g, max_len))
 
 
 def path_label_pairs(g: LocalGrammar, max_len: int) -> frozenset:

@@ -108,19 +108,19 @@ class Lattice:
 
     def is_empty_language(self) -> bool:
         """True when no path joins the initial to the final state."""
-        return self.final not in _reachable(self.initial, (e[:2] for e in self.edges))
+        return self.final not in _reachable((self.initial,), (e[:2] for e in self.edges))
 
     def accepts_empty_path(self) -> bool:
         return self.initial == self.final
 
 
-def _reachable(start: Hashable, arcs: Iterable[tuple[Hashable, Hashable]]) -> set:
-    """States reachable from ``start`` along ``(from, to)`` arcs."""
+def _reachable(starts: Iterable[Hashable], arcs: Iterable[tuple[Hashable, Hashable]]) -> set:
+    """States reachable from any of ``starts`` along ``(from, to)`` arcs."""
     successors: dict[Hashable, list[Hashable]] = {}
     for a, b in arcs:
         successors.setdefault(a, []).append(b)
-    reached = {start}
-    stack = [start]
+    reached = set(starts)
+    stack = list(reached)
     while stack:
         for b in successors.get(stack.pop(), ()):
             if b not in reached:
@@ -129,17 +129,17 @@ def _reachable(start: Hashable, arcs: Iterable[tuple[Hashable, Hashable]]) -> se
     return reached
 
 
-def _co_reachable(final: Hashable, edges: Sequence[tuple]) -> set:
-    """States from which ``final`` is reachable over ``(src, dst, ...)``
-    edges."""
-    return _reachable(final, ((e[1], e[0]) for e in edges))
+def _co_reachable(finals: Iterable[Hashable], edges: Sequence[tuple]) -> set:
+    """States from which one of ``finals`` is reachable over
+    ``(src, dst, ...)`` edges."""
+    return _reachable(finals, ((e[1], e[0]) for e in edges))
 
 
 def _live_edges(initial: Hashable, final: Hashable, edges: Sequence[tuple]) -> list:
     """The ``(src, dst, label)`` edges on some initial-to-final path, in
     their given order."""
-    forward = _reachable(initial, (e[:2] for e in edges))
-    backward = _co_reachable(final, edges)
+    forward = _reachable((initial,), (e[:2] for e in edges))
+    backward = _co_reachable((final,), edges)
     return [e for e in edges if e[0] in forward and e[1] in backward]
 
 
@@ -149,29 +149,28 @@ def path_labels(path: Sequence[Edge]) -> tuple[EdgeLabel, ...]:
 
 def enumerate_paths(l: Lattice, limit: int = DEFAULT_PATH_LIMIT) -> PathEnumeration:
     """All initial-to-final paths in lexicographic edge order, truncated at
-    ``limit`` with the overflow flag set."""
+    ``limit`` with the overflow flag set.  Depth-first with an explicit
+    stack, so path length is not bounded by the recursion limit."""
     if limit <= 0:
         raise ValueError("limit must be positive")
-    paths: list[Path] = []
-    truncated = False
-
-    def walk(q: int, acc: list[Edge]) -> bool:
-        nonlocal truncated
-        if q == l.final:
+    by_source = l.edges_by_source
+    paths: list[Path] = [()] if l.initial == l.final else []
+    path: list[Edge] = []
+    pending = [iter(by_source[l.initial])]  # per state on the path: edges not yet taken
+    while pending:
+        e = next(pending[-1], None)
+        if e is None:
+            pending.pop()
+            if path:
+                path.pop()
+            continue
+        path.append(e)
+        if e.dst == l.final:
             if len(paths) >= limit:
-                truncated = True
-                return False
-            paths.append(tuple(acc))
-        for e in l.edges_by_source[q]:
-            acc.append(e)
-            keep_going = walk(e.dst, acc)
-            acc.pop()
-            if not keep_going:
-                return False
-        return True
-
-    walk(l.initial, [])
-    return PathEnumeration(tuple(paths), truncated)
+                return PathEnumeration(tuple(paths), True)
+            paths.append(tuple(path))
+        pending.append(iter(by_source[e.dst]))
+    return PathEnumeration(tuple(paths), False)
 
 
 def language(l: Lattice, limit: int = DEFAULT_PATH_LIMIT) -> frozenset:
@@ -205,7 +204,7 @@ def minimize(l: Lattice) -> Lattice:
     for other inputs whose minimal automaton would need a final state with
     outgoing edges, this raises rather than silently changing the language.
     """
-    useful = _co_reachable(l.final, l.edges)
+    useful = _co_reachable((l.final,), l.edges)
     if l.initial not in useful:
         return Lattice.build(0, 1, [], extra_states=(0, 1))
 

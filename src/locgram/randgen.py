@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .grammar import GrammarClass, LocalGrammar, classify, load_grammar
-from .lattice import Lattice, enumerate_paths
+from .lattice import Lattice, _co_reachable, _reachable, enumerate_paths
 from .lexicon import Lexicon, build_initial_lattice, load_lexicon, tokenize
 
 _SURFACES = ["ga", "bo", "ti", "ra", "mu", "ze", "ko", "da", "fe", "lu"]
@@ -150,22 +150,9 @@ def _prune_document(doc: dict) -> dict | None:
     """Drop unreachable and dead states so the document validates."""
     states = set(doc["states"])
     finals = set(doc["finals"])
-    forward = {doc["initial"]}
-    changed = True
-    while changed:
-        changed = False
-        for t in doc["transitions"]:
-            if t["from"] in forward and t["to"] not in forward:
-                forward.add(t["to"])
-                changed = True
-    backward = set(finals)
-    changed = True
-    while changed:
-        changed = False
-        for t in doc["transitions"]:
-            if t["to"] in backward and t["from"] not in backward:
-                backward.add(t["from"])
-                changed = True
+    arcs = [(t["from"], t["to"]) for t in doc["transitions"]]
+    forward = _reachable((doc["initial"],), arcs)
+    backward = _co_reachable(finals, arcs)
     keep = (forward & backward) & states
     if doc["initial"] not in keep or not (finals & keep):
         return None

@@ -1,7 +1,11 @@
+import json
+import sys
+
 import pytest
 
 from locgram import build_initial_lattice, fixtures, tokenize
 from locgram.engine import parse_tag_sequence, resolve_tag_sequence
+from locgram.grammar import load_grammar
 from locgram.lattice import Lattice
 
 SENTENCES = {
@@ -12,6 +16,23 @@ SENTENCES = {
     "limit": "Mais aucun ne peut dépasser cette limite",
     "railway": "Il traverse le chemin de fer.",
     "moment": "Je ne me le suis pas fait confirmer sur le moment",
+}
+
+# 5,000 tokens, a 5,001-state lattice: far past the default recursion limit
+LONG_REPEATS = 1250
+LONG_TEXT = " ".join(["ne lui dis pas"] * LONG_REPEATS)
+
+# <MOT>* followed by an input that never occurs: every state is unmatchable,
+# and a matching walk from each state runs to the end of the sentence
+CYCLIC_GRAMMAR = {
+    "name": "mot-star",
+    "states": [0, 1],
+    "initial": 0,
+    "finals": [1],
+    "transitions": [
+        {"from": 0, "to": 0, "in": "<MOT>", "out": "<MOT>"},
+        {"from": 0, "to": 1, "in": "zzz", "out": "zzz"},
+    ],
 }
 
 
@@ -61,3 +82,22 @@ def build_calls(monkeypatch):
 
     monkeypatch.setattr(Lattice, "build", classmethod(counting))
     return calls
+
+
+@pytest.fixture(scope="session")
+def long_lattice(lexicon):
+    return build_initial_lattice(tokenize(LONG_TEXT), lexicon)
+
+
+@pytest.fixture(scope="session")
+def cyclic_grammar(categories):
+    return load_grammar(json.dumps(CYCLIC_GRAMMAR), categories)
+
+
+@pytest.fixture
+def default_recursion_limit():
+    """Run the test under CPython's default recursion limit."""
+    previous = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(previous)

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from locgram import fixtures
+from locgram import engine, fixtures
 from locgram.cli import main
+from conftest import CYCLIC_GRAMMAR, LONG_TEXT
 
 CHAIN = fixtures.grammar_path("de-ce-que-chain")
 NE_VERB = fixtures.grammar_path("ne-verb")
@@ -129,6 +130,49 @@ class TestApply:
         code, _, err = run(capsys, "apply", "--grammar", str(grammar), "Ne lui dis pas")
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"transitions": [{"to": 1, "in": "ne", "out": "<XI>"}]},
+            {"transitions": 5},
+            {"states": [[0], 1]},
+        ],
+        ids=["transition-without-from", "transitions-not-a-list", "list-state-id"],
+    )
+    def test_malformed_grammar_document_exits_4(self, capsys, tmp_path, change):
+        doc = {
+            "name": "g",
+            "states": [0, 1],
+            "initial": 0,
+            "finals": [1],
+            "transitions": [{"from": 0, "to": 1, "in": "ne", "out": "<XI>"}],
+        }
+        grammar = tmp_path / "malformed.json"
+        grammar.write_text(json.dumps({**doc, **change}), encoding="utf-8")
+        code, _, err = run(capsys, "apply", "--grammar", str(grammar), "Ne lui dis pas")
+        assert code == 4
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_limit_below_one_exits_4(self, capsys):
+        code, _, err = run(
+            capsys, "apply", "--grammar", NE_VERB, "--format", "paths", "--limit", "0",
+            "Ne lui dis pas",
+        )
+        assert code == 4
+        assert "--limit" in err
+
+    @pytest.mark.usefixtures("default_recursion_limit")
+    def test_long_sentence_overflow_exits_5(self, capsys, tmp_path):
+        grammar = tmp_path / "mot_star.json"
+        grammar.write_text(json.dumps(CYCLIC_GRAMMAR), encoding="utf-8")
+        code, out, err = run(
+            capsys, "apply", "--format", "paths", "--limit", "10", "--grammar", str(grammar),
+            LONG_TEXT,
+        )
+        assert code == 5
+        assert out == ""
+        assert "more than 10 paths" in err
+
     def test_missing_grammar_flag_exits_4(self, capsys):
         code, _, err = run(capsys, "apply", "Ne lui dis pas")
         assert code == 4
@@ -195,6 +239,29 @@ class TestCheck:
         corpus.write_text("T: Ne lui dis pas\n", encoding="utf-8")
         code, _, _ = run(capsys, "check", "--grammar", NE_VERB, str(corpus))
         assert code == 4
+
+
+class TestExitCodes:
+    def test_internal_error_exits_6(self, capsys, monkeypatch):
+        def crash(g, l):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(engine, "filter", crash)
+        code, out, err = run(capsys, "apply", "--grammar", NE_VERB, "Ne lui dis pas")
+        assert code == 6
+        assert out == ""
+        assert "internal error: RuntimeError('boom')" in err
+        assert "Traceback" in err
+
+    def test_directory_as_grammar_exits_4(self, capsys, tmp_path):
+        code, _, err = run(capsys, "apply", "--grammar", str(tmp_path), "Ne lui dis pas")
+        assert code == 4
+        assert err.startswith("error: ")
+
+    def test_directory_as_corpus_exits_4(self, capsys, tmp_path):
+        code, _, err = run(capsys, "check", "--grammar", NE_VERB, str(tmp_path))
+        assert code == 4
+        assert err.startswith("error: ")
 
 
 class TestDiffOracle:

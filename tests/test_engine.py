@@ -17,12 +17,17 @@ from locgram.engine import (
     filter_oracle,
     load_corpus,
     matchable,
+    parse_tag_sequence,
+    resolve_tag_sequence,
     silence_check,
 )
 from locgram.errors import CorpusFormatError
 from locgram.grammar import load_grammar
 from locgram.lattice import enumerate_paths, language, language_equal, minimize, to_json, trim
 from locgram.randgen import random_instance
+from locgram.tags import parse_complete_tag
+from conftest import LONG_REPEATS, LONG_TEXT
+
 CATS = ("V", "N", "A", "ADV", "PRO", "DET", "PREP", "CNJS", "CNJC", "XI", "INT")
 
 CONFIRM_CHAIN_GOOD = (
@@ -420,3 +425,37 @@ class TestLoadCorpus:
     def test_dangling_text_rejected(self):
         with pytest.raises(CorpusFormatError):
             load_corpus(["T: Ne lui dis pas"])
+
+
+@pytest.mark.usefixtures("default_recursion_limit")
+class TestLongSentence:
+    """Every walk is iterative: a 5,000-token sentence runs under the
+    default recursion limit."""
+
+    GOLD = " ".join([TELL_HIM_GOOD] * LONG_REPEATS)
+
+    def test_matchable_and_filter_under_cyclic_grammar(self, cyclic_grammar, long_lattice):
+        assert not any(matchable(long_lattice, cyclic_grammar).values())
+        # every state is unmatchable, so every path survives as free portions
+        assert to_json(filter_lattice(cyclic_grammar, long_lattice)) == to_json(long_lattice)
+
+    def test_resolve_tag_sequence(self, long_lattice, categories):
+        labels = parse_tag_sequence(self.GOLD, categories)
+        path = resolve_tag_sequence(long_lattice, labels)
+        assert path is not None and len(path) == len(labels) == 4 * LONG_REPEATS
+        assert path[0].src == long_lattice.initial and path[-1].dst == long_lattice.final
+        dire = parse_complete_tag("<dire V:Y2s>", categories)
+        assert resolve_tag_sequence(long_lattice, labels[:-1] + [dire]) is None
+
+    def test_accepts(self, grammars, cyclic_grammar, long_lattice, find_path):
+        path = find_path(long_lattice, self.GOLD)
+        assert accepts(cyclic_grammar, path, long_lattice)
+        assert accepts(union([grammars["ne-verb"], grammars["ne-lui"]]), path, long_lattice)
+        assert not accepts(grammars["ne-verb"], path, long_lattice)
+
+    def test_silence_check_accepted_and_rejected_gold(self, grammars, lexicon):
+        corpus = [CorpusItem("s1", LONG_TEXT, self.GOLD)]
+        report = silence_check(union([grammars["ne-verb"], grammars["ne-lui"]]), corpus, lexicon)
+        assert report.violations == () and report.corpus_errors == ()
+        report = silence_check(grammars["ne-verb"], corpus, lexicon)
+        assert report.lines() == ["SILENCE s1 0-2 ne-verb"]

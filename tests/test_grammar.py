@@ -85,6 +85,36 @@ class TestLoadGrammar:
                 }
             )
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"transitions": [{"to": 1, "in": "ne", "out": "<XI>"}]},
+            {"transitions": 5},
+            {"states": [[0], 1]},
+            {"initial": [0]},
+            {"transitions": [{"from": [0], "to": 1, "in": "ne", "out": "<XI>"}]},
+            {"name": 5},
+        ],
+        ids=[
+            "transition-without-from",
+            "transitions-not-a-list",
+            "list-state-id",
+            "list-initial-state",
+            "list-transition-endpoint",
+            "name-not-a-string",
+        ],
+    )
+    def test_malformed_document_rejected(self, change):
+        doc = {
+            "name": "g",
+            "states": [0, 1],
+            "initial": 0,
+            "finals": [1],
+            "transitions": [{"from": 0, "to": 1, "in": "ne", "out": "<XI>"}],
+        }
+        with pytest.raises(GrammarFormatError):
+            make({**doc, **change})
+
     def test_cycles_permitted(self):
         g = make(
             {

@@ -60,6 +60,21 @@ class TestEnumeratePaths:
         enum = enumerate_paths(l)
         assert [path_labels(p)[0] for p in enum.paths] == [A, B]
 
+    def test_long_sentence_within_recursion_limit(self, long_lattice, default_recursion_limit):
+        l = long_lattice
+        enum = enumerate_paths(l, 10)
+        assert enum.truncated
+        assert len(set(enum.paths)) == 10
+        for p in enum.paths:
+            assert p[0].src == l.initial and p[-1].dst == l.final
+            assert all(a.dst == b.src for a, b in zip(p, p[1:]))
+        # the first path takes the first edge out of every state it meets
+        first, q = [], l.initial
+        while q != l.final:
+            first.append(l.edges_by_source[q][0])
+            q = first[-1].dst
+        assert enum.paths[0] == tuple(first)
+
     def test_railway_contains_both_readings(self, lattices):
         langs = language(lattices["railway"])
         assert any(any(getattr(lab, "compound", False) for lab in seq) for seq in langs)
