@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import engine, fixtures, grammar as grammar_mod, lattice as lattice_mod
@@ -39,40 +38,29 @@ from .randgen import random_instance
 from .tags import collation_key
 
 
-@dataclass
-class RunConfig:
-    lexicon: str | None = None
-    categories: str | None = None
-    grammars: list[str] = field(default_factory=list)
-    sequential: bool = False
-    format: str | None = None
-    limit: int = lattice_mod.DEFAULT_PATH_LIMIT
-    seed: int | None = None
-
-
-def _load_categories(config: RunConfig) -> tuple[str, ...]:
-    if config.categories is None:
+def _load_categories(args: argparse.Namespace) -> tuple[str, ...]:
+    if args.categories is None:
         return fixtures.core_categories()
-    return load_categories(Path(config.categories).read_text(encoding="utf-8").splitlines())
+    return load_categories(Path(args.categories).read_text(encoding="utf-8").splitlines())
 
 
-def _load_lexicon(config: RunConfig) -> Lexicon:
-    categories = _load_categories(config)
-    if config.lexicon is None:
-        if config.categories is None:
+def _load_lexicon(args: argparse.Namespace) -> Lexicon:
+    categories = _load_categories(args)
+    if args.lexicon is None:
+        if args.categories is None:
             return fixtures.core_lexicon()
         path = fixtures.lexicon_path()
     else:
-        path = config.lexicon
+        path = args.lexicon
     return load_lexicon(Path(path).read_text(encoding="utf-8").splitlines(), categories)
 
 
-def _load_grammars(config: RunConfig, categories) -> list:
-    if not config.grammars:
+def _load_grammars(args: argparse.Namespace, categories) -> list:
+    if not args.grammars:
         raise GrammarFormatError("at least one --grammar file is required")
     return [
         grammar_mod.load_grammar(Path(p).read_text(encoding="utf-8"), categories)
-        for p in config.grammars
+        for p in args.grammars
     ]
 
 
@@ -146,8 +134,8 @@ def _paths_listing(l, limit: int) -> str:
     return "\n".join(lines)
 
 
-def _render_lattice(l, fmt: str | None, default: str, limit: int) -> str:
-    fmt = fmt or default
+def _render_lattice(l, fmt: str | None, limit: int) -> str:
+    fmt = fmt or "lattice"
     if fmt == "paths":
         return _paths_listing(l, limit)
     if fmt == "lattice":
@@ -157,24 +145,24 @@ def _render_lattice(l, fmt: str | None, default: str, limit: int) -> str:
     raise GrammarFormatError(f"format {fmt!r} does not apply to this command")
 
 
-def cmd_tag(config: RunConfig, text: str) -> str:
+def cmd_tag(args: argparse.Namespace, text: str) -> str:
     """Initial tagging.  ``paths`` format prints the alternative listing;
     ``lattice``/``dot`` serialize the automaton."""
-    lexicon = _load_lexicon(config)
+    lexicon = _load_lexicon(args)
     tokens = tokenize(text)
-    fmt = config.format or "paths"
+    fmt = args.format or "paths"
     if fmt == "paths":
         return alternative_listing(tokens, lexicon)
     l = build_initial_lattice(tokens, lexicon)
-    return _render_lattice(l, fmt, "lattice", config.limit)
+    return _render_lattice(l, fmt, args.limit)
 
 
-def _apply_grammars(config: RunConfig, text: str):
-    lexicon = _load_lexicon(config)
+def _apply_grammars(args: argparse.Namespace, text: str):
+    lexicon = _load_lexicon(args)
     categories = lexicon.categories
-    grammars = _load_grammars(config, categories)
+    grammars = _load_grammars(args, categories)
     l = build_initial_lattice(tokenize(text), lexicon)
-    if config.sequential:
+    if args.sequential:
         filtered = l
         for g in grammars:
             filtered = engine.filter(g, filtered)
@@ -184,23 +172,23 @@ def _apply_grammars(config: RunConfig, text: str):
     return filtered
 
 
-def cmd_apply(config: RunConfig, text: str) -> tuple[str, bool]:
+def cmd_apply(args: argparse.Namespace, text: str) -> tuple[str, bool]:
     """Filter the initial lattice; returns output text and an emptiness
     flag (grammars combine by shared initial/final state unless
     ``--sequential`` chains them, re-deriving context at each step)."""
-    filtered = _apply_grammars(config, text)
+    filtered = _apply_grammars(args, text)
     empty = filtered.is_empty_language()
-    return _render_lattice(filtered, config.format, "lattice", config.limit), empty
+    return _render_lattice(filtered, args.format, args.limit), empty
 
 
-def cmd_check(config: RunConfig, corpus_file: str) -> tuple[str, bool]:
+def cmd_check(args: argparse.Namespace, corpus_file: str) -> tuple[str, bool]:
     """Zero-silence check of the combined grammars against gold taggings."""
-    lexicon = _load_lexicon(config)
-    grammars = _load_grammars(config, lexicon.categories)
+    lexicon = _load_lexicon(args)
+    grammars = _load_grammars(args, lexicon.categories)
     combined = _combined(grammars)
     corpus = engine.load_corpus(Path(corpus_file).read_text(encoding="utf-8").splitlines())
     report = engine.silence_check(combined, corpus, lexicon)
-    if config.format == "report":
+    if args.format == "report":
         import json
 
         doc = {
@@ -219,33 +207,33 @@ def cmd_check(config: RunConfig, corpus_file: str) -> tuple[str, bool]:
     return text, bool(report.violations)
 
 
-def cmd_diff_oracle(config: RunConfig, text: str | None) -> tuple[str, bool]:
+def cmd_diff_oracle(args: argparse.Namespace, text: str | None) -> tuple[str, bool]:
     """Compare product filtering against the brute-force oracle, either on
     the given text with the configured grammars, or on randomized
     instances when ``--seed`` is set."""
-    if config.seed is not None:
-        rng = random.Random(config.seed)
+    if args.seed is not None:
+        rng = random.Random(args.seed)
         trials = 50
         for trial in range(trials):
             inst = random_instance(rng)
             left = engine.filter(inst.grammar, inst.lattice)
-            right = engine.filter_oracle(inst.grammar, inst.lattice, config.limit)
-            if not lattice_mod.language_equal(left, right, config.limit):
+            right = engine.filter_oracle(inst.grammar, inst.lattice, args.limit)
+            if not lattice_mod.language_equal(left, right, args.limit):
                 return (
-                    f"MISMATCH seed={config.seed} trial={trial} text={inst.text!r} "
+                    f"MISMATCH seed={args.seed} trial={trial} text={inst.text!r} "
                     f"grammar={inst.grammar.name}",
                     False,
                 )
-        return f"EQUAL ({trials} randomized instances, seed={config.seed})", True
+        return f"EQUAL ({trials} randomized instances, seed={args.seed})", True
     if text is None:
         raise GrammarFormatError("diff-oracle needs a text argument or --seed")
-    lexicon = _load_lexicon(config)
-    grammars = _load_grammars(config, lexicon.categories)
+    lexicon = _load_lexicon(args)
+    grammars = _load_grammars(args, lexicon.categories)
     combined = _combined(grammars)
     l = build_initial_lattice(tokenize(text), lexicon)
     left = engine.filter(combined, l)
-    right = engine.filter_oracle(combined, l, config.limit)
-    if lattice_mod.language_equal(left, right, config.limit):
+    right = engine.filter_oracle(combined, l, args.limit)
+    if lattice_mod.language_equal(left, right, args.limit):
         return "EQUAL", True
     return "MISMATCH", False
 
@@ -255,7 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--lexicon", metavar="F", help="lexicon file (default: bundled)")
     common.add_argument("--categories", metavar="F", help="category inventory file")
     common.add_argument(
-        "--grammar", metavar="F", action="append", default=[], help="grammar file (repeatable)"
+        "--grammar",
+        dest="grammars",
+        metavar="F",
+        action="append",
+        default=[],
+        help="grammar file (repeatable)",
     )
     common.add_argument(
         "--sequential", action="store_true", help="apply grammars one after another"
@@ -277,32 +270,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        lexicon=args.lexicon,
-        categories=args.categories,
-        grammars=list(args.grammar),
-        sequential=args.sequential,
-        format=args.format,
-        limit=args.limit,
-        seed=args.seed,
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    config = _config_from(args)
-    if config.limit < 1:
-        print(f"error: --limit must be positive, not {config.limit}", file=sys.stderr)
+    if args.limit < 1:
+        print(f"error: --limit must be positive, not {args.limit}", file=sys.stderr)
         return 4
     try:
         if args.command == "tag":
-            out = cmd_tag(config, args.text)
+            out = cmd_tag(args, args.text)
             if out:
                 print(out)
             return 0
         if args.command == "apply":
-            out, empty = cmd_apply(config, args.text)
+            out, empty = cmd_apply(args, args.text)
             if out:
                 print(out)
             if empty:
@@ -310,12 +290,12 @@ def main(argv: list[str] | None = None) -> int:
                 return 3
             return 0
         if args.command == "check":
-            out, violations = cmd_check(config, args.corpus)
+            out, violations = cmd_check(args, args.corpus)
             if out:
                 print(out)
             return 1 if violations else 0
         if args.command == "diff-oracle":
-            out, ok = cmd_diff_oracle(config, args.text)
+            out, ok = cmd_diff_oracle(args, args.text)
             print(out)
             return 0 if ok else 1
         raise AssertionError(args.command)

@@ -29,7 +29,10 @@ bit ``i`` for ``transitions[i]``.  A label's mask then costs a few
 dictionary lookups, and each step of a matched portion is one ``&`` of
 the edge's output mask, its span's input mask and the transition's bit.
 ``tags.conforms`` stays the reference predicate the table must agree
-with.
+with.  The masks a rule allows over the edges form one ``EdgeMasks``
+table per lattice and grammar, aligned with ``Lattice.edges_by_source``:
+built once, then read by the matchable index, ``filter``, ``decompose``
+and the failure diagnostic alike.
 
 Every walk is iterative, over lattice states in topological order or path
 positions in order, so no sentence length meets Python's recursion limit.
@@ -55,14 +58,7 @@ from .lattice import (
     path_labels,
 )
 from .lexicon import Lexicon, build_initial_lattice, tokenize
-from .tags import (
-    CompleteTag,
-    EdgeLabel,
-    IncompleteTag,
-    Separator,
-    SurfaceForm,
-    parse_complete_tag,
-)
+from .tags import EdgeLabel, Separator, parse_complete_tag
 
 MatchableIndex = dict  # lattice state -> bool
 EdgeMasks = dict  # lattice state -> one transition bitmask per outgoing edge
@@ -99,6 +95,31 @@ def _edge_masks(l: Lattice, mask: Callable[[EdgeLabel], int]) -> EdgeMasks:
     """``mask`` of every edge label, per source state in ``edges_by_source``
     order."""
     return {q: tuple(mask(e.label) for e in es) for q, es in l.edges_by_source.items()}
+
+
+def _step_masks(l: Lattice, g: LocalGrammar, inputs: EdgeMasks, *, witness: bool) -> EdgeMasks:
+    """The transitions a matched portion may take over each edge, from the
+    input table ``inputs``: the output must conform to the edge's own
+    label, and the input to some label on the same span (``witness``, the
+    general rule) or to the edge's own label (rules A and B)."""
+    outputs = g.compiled.outputs.mask
+    table = {}
+    for q, es in l.edges_by_source.items():
+        allowed = inputs[q]
+        if witness:
+            span: dict[int, int] = {}
+            for e, m in zip(es, allowed):
+                span[e.dst] = span.get(e.dst, 0) | m
+            allowed = [span[e.dst] for e in es]
+        table[q] = tuple(outputs(e.label) & m for e, m in zip(es, allowed))
+    return table
+
+
+def _general_tables(l: Lattice, g: LocalGrammar) -> tuple[MatchableIndex, EdgeMasks]:
+    """The general rule's ``(matchable index, witness masks)``, both read
+    from one input table."""
+    inputs = _edge_masks(l, g.compiled.inputs.mask)
+    return _match_index(l, g, inputs), _step_masks(l, g, inputs, witness=True)
 
 
 def _match_index(l: Lattice, g: LocalGrammar, masks: EdgeMasks) -> MatchableIndex:
@@ -140,88 +161,53 @@ def matchable(l: Lattice, g: LocalGrammar) -> MatchableIndex:
     return _match_index(l, g, _edge_masks(l, g.compiled.inputs.mask))
 
 
-def _surface_match(label: EdgeLabel, pattern: IncompleteTag) -> bool:
-    # Text-level matching, for grammars whose inputs are all literal:
-    # only the written form matters, not the analysis carried by the edge.
-    if isinstance(pattern, Separator):
-        return label == pattern
-    if isinstance(pattern, SurfaceForm):
-        return isinstance(label, CompleteTag) and label.surface == pattern.form
-    return False
-
-
 def surface_matchable(l: Lattice, g: LocalGrammar) -> MatchableIndex:
-    """States from which the raw text matches some input sequence."""
-    inputs = [t.inp for t in g.transitions]
+    """States from which the raw text matches some input sequence: only the
+    written form of each edge counts, against the grammar's literal
+    inputs, not the analysis the edge carries."""
+    table = g.compiled.inputs
 
     def mask(label: EdgeLabel) -> int:
-        return sum(1 << i for i, inp in enumerate(inputs) if _surface_match(label, inp))
+        literal = table.separators if isinstance(label, Separator) else table.surfaces
+        return literal.get(label.surface, 0)
 
     return _match_index(l, g, _edge_masks(l, mask))
 
 
-def _witness_mask(g: LocalGrammar, l: Lattice) -> Callable[[Edge], int]:
-    """Edge -> the transitions a matched portion may take over it under
-    the general rule: the output conforms to the edge's own label, the
-    input to some label on the same span.  Each span's input mask is
-    computed once."""
-    inputs, outputs = g.compiled.inputs.mask, g.compiled.outputs.mask
-    spans = l.labels_by_span
-    span_inputs: dict[tuple[int, int], int] = {}
-
-    def mask(e: Edge) -> int:
-        span = (e.src, e.dst)
-        bits = span_inputs.get(span)
-        if bits is None:
-            bits = span_inputs[span] = reduce(or_, map(inputs, spans[span]), 0)
-        return outputs(e.label) & bits
-
-    return mask
-
-
-def _own_mask(g: LocalGrammar) -> Callable[[Edge], int]:
-    """Edge -> the transitions a matched portion may take over it under
-    the restricted rules: input and output conform to the edge's own
-    label."""
-    inputs, outputs = g.compiled.inputs.mask, g.compiled.outputs.mask
-    return lambda e: inputs(e.label) & outputs(e.label)
-
-
-def _check_path(l: Lattice, p: Sequence[Edge]) -> tuple:
+def _check_path(l: Lattice, p: Sequence[Edge], masks: EdgeMasks) -> tuple[tuple, list[int]]:
+    """Validate ``p`` as a path of ``l``; its edges, and each edge's entry
+    in ``masks``."""
     edges = tuple(p)
     if not edges:
         if l.initial != l.final:
             raise ValueError("empty sequence is not a path of this lattice")
-        return edges
+        return edges, []
     if edges[0].src != l.initial or edges[-1].dst != l.final:
         raise ValueError("sequence does not join the initial state to the final state")
     for a, b in zip(edges, edges[1:]):
         if a.dst != b.src:
             raise ValueError("sequence edges are not consecutive")
+    ok = []
     for e in edges:
-        if e not in l.edges_by_source.get(e.src, ()):
-            raise ValueError(f"edge {e!r} does not belong to the lattice")
-    return edges
+        try:
+            ok.append(masks[e.src][l.edges_by_source[e.src].index(e)])
+        except (KeyError, ValueError):
+            raise ValueError(f"edge {e!r} does not belong to the lattice") from None
+    return edges, ok
 
 
 def _decompose(
-    g: LocalGrammar,
-    p: Sequence[Edge],
-    l: Lattice,
-    *,
-    step_mask: Callable[[Edge], int],
-    index: MatchableIndex,
+    g: LocalGrammar, p: Sequence[Edge], l: Lattice, index: MatchableIndex, masks: EdgeMasks
 ) -> Decomposition | None:
     """Dynamic programming over path positions, from the last to the first.
-    Matched portions take the transitions ``step_mask`` allows over each
-    edge: checking the path's own tags against inputs (``_own_mask``), or
-    any same-span edge of the lattice (``_witness_mask``), which realizes
-    equivalence: same text, same delimitation.  Any valid partition
-    suffices; from each position a free portion is preferred, then the
-    matched portion with the nearest end."""
-    edges = _check_path(l, p)
+    Matched portions take the transitions ``masks`` allows over each edge:
+    checking the path's own tags against inputs, or any same-span edge of
+    the lattice (the witness table), which realizes equivalence: same
+    text, same delimitation.  Any valid partition suffices; from each
+    position a free portion is preferred, then the matched portion with
+    the nearest end."""
+    edges, ok = _check_path(l, p, masks)
     m = len(edges)
-    ok = [step_mask(e) for e in edges]
     # first[i]: the first block of a partition of positions i.., and the
     # position after it; None while no partition is known
     first: list[tuple | None] = [None] * m + [()]
@@ -245,13 +231,18 @@ def _decompose(
 
 
 def decompose(
-    g: LocalGrammar, p: Path, l: Lattice, *, index: MatchableIndex | None = None
+    g: LocalGrammar,
+    p: Path,
+    l: Lattice,
+    *,
+    tables: tuple[MatchableIndex, EdgeMasks] | None = None,
 ) -> Decomposition | None:
     """Witness partition under the general rule, or None when rejected.
-    ``index`` is ``matchable(l, g)``, for a caller that already has it."""
-    if index is None:
-        index = matchable(l, g)
-    return _decompose(g, p, l, step_mask=_witness_mask(g, l), index=index)
+    ``tables`` is ``_general_tables(l, g)``, for a caller that already has
+    it."""
+    if tables is None:
+        tables = _general_tables(l, g)
+    return _decompose(g, p, l, *tables)
 
 
 def accepts(g: LocalGrammar, p: Path, l: Lattice) -> bool:
@@ -265,8 +256,9 @@ def accepts_case_a(g: LocalGrammar, p: Path, l: Lattice) -> bool:
     portions require the raw text to match no input sequence."""
     if classify(g) is not GrammarClass.SIMPLE_INPUTS:
         raise ValueError("rule requires a grammar with only surface-form inputs")
-    index = surface_matchable(l, g)
-    return _decompose(g, p, l, step_mask=_own_mask(g), index=index) is not None
+    inputs = _edge_masks(l, g.compiled.inputs.mask)
+    own = _step_masks(l, g, inputs, witness=False)
+    return _decompose(g, p, l, surface_matchable(l, g), own) is not None
 
 
 def accepts_case_b(g: LocalGrammar, p: Path, l: Lattice) -> bool:
@@ -274,8 +266,9 @@ def accepts_case_b(g: LocalGrammar, p: Path, l: Lattice) -> bool:
     implies conformity to its input label (literal inputs included)."""
     if classify(g) is GrammarClass.GENERAL:
         raise ValueError("rule requires output labels that imply their input labels")
-    index = matchable(l, g)
-    return _decompose(g, p, l, step_mask=_own_mask(g), index=index) is not None
+    inputs = _edge_masks(l, g.compiled.inputs.mask)
+    own = _step_masks(l, g, inputs, witness=False)
+    return _decompose(g, p, l, _match_index(l, g, inputs), own) is not None
 
 
 _FREE = None  # product mode marker for "between portions"
@@ -293,12 +286,10 @@ def filter(g: LocalGrammar, l: Lattice) -> Lattice:
     result is trim as built: one ``Lattice.build``, no rebuild by ``trim``.
     An empty result is permitted; callers can test ``is_empty_language``.
     """
-    index = matchable(l, g)
+    index, portion = _general_tables(l, g)
     steps = g.compiled.steps
     finals = g.finals
     by_source = l.edges_by_source
-    witness_mask = _witness_mask(g, l)
-    portion = {q: tuple(map(witness_mask, es)) for q, es in by_source.items()}
 
     # Product states are numbered in discovery order; ``states`` is also
     # the breadth-first worklist, which the loop extends as it walks it.
@@ -336,13 +327,8 @@ def filter_oracle(g: LocalGrammar, l: Lattice, limit: int = DEFAULT_PATH_LIMIT) 
     enum = enumerate_paths(l, limit)
     if enum.truncated:
         raise EnumerationOverflow(f"more than {limit} paths")
-    index = matchable(l, g)
-    witness_mask = _witness_mask(g, l)
-    survivors = [
-        path_labels(p)
-        for p in enum.paths
-        if _decompose(g, p, l, step_mask=witness_mask, index=index) is not None
-    ]
+    index, masks = _general_tables(l, g)
+    survivors = [path_labels(p) for p in enum.paths if _decompose(g, p, l, index, masks) is not None]
     return _trie_lattice(survivors)
 
 
@@ -478,12 +464,13 @@ def _portion_walk(g: LocalGrammar, ok: Sequence[int], start: int) -> tuple[list,
     return found, touched
 
 
-def _failure_span(g: LocalGrammar, p: Path, l: Lattice, index: MatchableIndex) -> tuple:
+def _failure_span(
+    g: LocalGrammar, p: Path, l: Lattice, index: MatchableIndex, masks: EdgeMasks
+) -> tuple:
     """Diagnostic for a rejected path: the furthest position reachable by
     valid portions, extended over the longest portion attempt stuck there."""
-    edges = tuple(p)
+    edges, ok = _check_path(l, p, masks)
     m = len(edges)
-    ok = list(map(_witness_mask(g, l), edges))
     reach = {0}
     worklist = [0]
     while worklist:
@@ -523,9 +510,9 @@ def silence_check(g: LocalGrammar, corpus: Sequence[CorpusItem], lexicon: Lexico
         if path is None:
             errors.append((item.sentence_id, "gold tagging is not admitted by the lexicon"))
             continue
-        index = matchable(l, g)
-        if decompose(g, path, l, index=index) is None:
-            span = _failure_span(g, path, l, index)
+        tables = _general_tables(l, g)
+        if decompose(g, path, l, tables=tables) is None:
+            span = _failure_span(g, path, l, *tables)
             violations.append(SilenceViolation(item.sentence_id, span, g.name))
     return SilenceReport(tuple(violations), tuple(errors))
 

@@ -65,12 +65,6 @@ class LocalGrammar:
     finals: frozenset
     transitions: tuple[Transition, ...]
 
-    def by_source(self) -> dict[Hashable, tuple[Transition, ...]]:
-        table: dict[Hashable, list[Transition]] = {s: [] for s in self.states}
-        for t in self.transitions:
-            table[t.src].append(t)
-        return {s: tuple(ts) for s, ts in table.items()}
-
     @cached_property
     def compiled(self) -> CompiledGrammar:
         """Built on first use and kept for the grammar's lifetime."""
@@ -228,19 +222,18 @@ def input_sequences(g: LocalGrammar, max_len: int) -> frozenset:
 
 def path_label_pairs(g: LocalGrammar, max_len: int) -> frozenset:
     """All (input, output) pair sequences along initial-to-final paths of
-    length at most ``max_len``; the language the union laws speak about."""
-    by_source = g.by_source()
+    length at most ``max_len``; the language the union laws speak about.
+    Depth-first with an explicit stack, so ``max_len`` is not bounded by
+    the recursion limit."""
+    steps = g.compiled.steps
     found: set[tuple] = set()
-
-    def walk(state: Hashable, acc: tuple) -> None:
+    stack = [(g.initial, ())]
+    while stack:
+        state, acc = stack.pop()
         if state in g.finals:
             found.add(acc)
-        if len(acc) >= max_len:
-            return
-        for t in by_source[state]:
-            walk(t.dst, acc + ((t.inp, t.out),))
-
-    walk(g.initial, ())
+        if len(acc) < max_len:
+            stack.extend((tr.dst, acc + ((tr.inp, tr.out),)) for _, tr in steps[state])
     return frozenset(found)
 
 

@@ -18,7 +18,6 @@ useful states instead of rebuilding its input trim.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -65,32 +64,20 @@ class Lattice:
         deterministic topological order.  Raises on cycles."""
         edges = list(edges)
         ends = list(map(itemgetter(0, 1), edges))
-        # states in order of first appearance
+        # states in order of first appearance, then renumbered in Kahn's order
         order = list(
             dict.fromkeys(chain((initial,), chain.from_iterable(ends), (final,), extra_states))
         )
-        indegree = dict.fromkeys(order, 0)
-        successors: dict[Hashable, list[Hashable]] = {s: [] for s in order}
+        first = {s: i for i, s in enumerate(order)}
+        successors: list[list[int]] = [[] for _ in order]
         for src, dst in ends:
-            indegree[dst] += 1
-            successors[src].append(dst)
-        ready = deque(s for s in order if indegree[s] == 0)
-        topo: list[Hashable] = []
-        while ready:
-            state = ready.popleft()
-            topo.append(state)
-            for dst in successors[state]:
-                indegree[dst] -= 1
-                if indegree[dst] == 0:
-                    ready.append(dst)
-        if len(topo) != len(order):
-            raise LatticeFormatError("lattice has a cycle")
-        number = {s: i for i, s in enumerate(topo)}
+            successors[first[src]].append(first[dst])
+        number = {order[i]: rank for rank, i in enumerate(_topological_order(successors))}
         renumbered = sorted(
             (Edge(number[src], number[dst], label) for src, dst, label in edges),
             key=lambda e: (e.src, e.dst, e.label.sort_key),
         )
-        return cls(len(topo), number[initial], number[final], tuple(renumbered))
+        return cls(len(order), number[initial], number[final], tuple(renumbered))
 
     @cached_property
     def edges_by_source(self) -> dict[int, tuple[Edge, ...]]:
@@ -109,9 +96,6 @@ class Lattice:
     def is_empty_language(self) -> bool:
         """True when no path joins the initial to the final state."""
         return self.final not in _reachable((self.initial,), (e[:2] for e in self.edges))
-
-    def accepts_empty_path(self) -> bool:
-        return self.initial == self.final
 
 
 def _reachable(starts: Iterable[Hashable], arcs: Iterable[tuple[Hashable, Hashable]]) -> set:
@@ -237,7 +221,7 @@ def minimize(l: Lattice) -> Lattice:
     is_final = [l.final in s for s in subsets]
     state_class = [0] * len(subsets)
     classes: dict[tuple, int] = {}
-    for s in reversed(_topological_order(outgoing)):
+    for s in reversed(_topological_order([[t for _, t in out] for out in outgoing])):
         signature = (is_final[s], tuple((lab.sort_key, state_class[t]) for lab, t in outgoing[s]))
         state_class[s] = classes.setdefault(signature, len(classes))
 
@@ -257,21 +241,22 @@ def minimize(l: Lattice) -> Lattice:
     return Lattice.build(state_class[0], state_class[is_final.index(True)], merged)
 
 
-def _topological_order(outgoing: list[list[tuple[EdgeLabel, int]]]) -> list[int]:
+def _topological_order(successors: list[list[int]]) -> list[int]:
     """Kahn's order of the nodes ``0..n-1`` of a graph given as per-node
-    ``(label, target)`` lists."""
-    indegree = [0] * len(outgoing)
-    for out in outgoing:
-        for _, t in out:
+    successor lists: first-in first-out, seeded with the sources in node
+    order.  Raises on cycles."""
+    indegree = [0] * len(successors)
+    for out in successors:
+        for t in out:
             indegree[t] += 1
     order = [s for s, d in enumerate(indegree) if d == 0]
     for s in order:  # extended as it is walked
-        for _, t in outgoing[s]:
+        for t in successors[s]:
             indegree[t] -= 1
             if indegree[t] == 0:
                 order.append(t)
-    if len(order) != len(outgoing):
-        raise LatticeFormatError("subset construction produced a cycle")
+    if len(order) != len(successors):
+        raise LatticeFormatError("lattice has a cycle")
     return order
 
 

@@ -7,6 +7,7 @@ from locgram import build_initial_lattice, fixtures, tokenize
 from locgram.engine import parse_tag_sequence, resolve_tag_sequence
 from locgram.grammar import load_grammar
 from locgram.lattice import Lattice
+from locgram.tags import ConformityTable
 
 SENTENCES = {
     "confirm-chain": "Cela vient de ce que je ne me le suis pas fait confirmer aussitôt",
@@ -81,6 +82,20 @@ def build_calls(monkeypatch):
         return build(cls, *args, **kwargs)
 
     monkeypatch.setattr(Lattice, "build", classmethod(counting))
+    return calls
+
+
+@pytest.fixture
+def mask_calls(monkeypatch):
+    """A list that grows by one entry per ``ConformityTable.mask`` call."""
+    calls = []
+    mask = ConformityTable.mask
+
+    def counting(self, label):
+        calls.append(1)
+        return mask(self, label)
+
+    monkeypatch.setattr(ConformityTable, "mask", counting)
     return calls
 
 

@@ -411,6 +411,24 @@ class TestSilenceCheck:
         assert len(report.corpus_errors) == 1
 
 
+class TestMaskTables:
+    """Each rule's per-edge masks are computed once per lattice and grammar:
+    at most one input and one output mask per lattice edge."""
+
+    def test_filter_oracle_masks_each_edge_once(self, grammars, lattices, mask_calls):
+        l = lattices["confirm-chain"]
+        assert len(enumerate_paths(l).paths) > 1000
+        filter_oracle(grammars["de-ce-que-chain"], l)
+        assert 0 < len(mask_calls) <= 2 * len(l.edges)
+
+    def test_silence_check_masks_each_edge_once(self, grammars, lexicon, mask_calls):
+        corpus = [CorpusItem("s1", "Ne lui dis pas", TELL_HIM_GOOD)]
+        report = silence_check(grammars["ne-verb"], corpus, lexicon)
+        assert report.lines() == ["SILENCE s1 0-2 ne-verb"]
+        l = build_initial_lattice(tokenize("Ne lui dis pas"), lexicon)
+        assert 0 < len(mask_calls) <= 2 * len(l.edges)
+
+
 class TestLoadCorpus:
     def test_pairs(self):
         items = load_corpus(["# c", "T: Ne lui dis pas", f"G: {TELL_HIM_GOOD}"])

@@ -223,6 +223,11 @@ class TestInputSequences:
         seqs = input_sequences(g, max_len=3)
         assert {len(s) for s in seqs} == {1, 2, 3}
 
+    @pytest.mark.usefixtures("default_recursion_limit")
+    def test_long_bound_within_recursion_limit(self, cyclic_grammar):
+        # <MOT>^k zzz for k < 1500
+        assert len(input_sequences(cyclic_grammar, 1500)) == 1500
+
 
 class TestDot:
     def test_deterministic(self, grammars):
