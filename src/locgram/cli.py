@@ -207,6 +207,11 @@ def cmd_check(args: argparse.Namespace, corpus_file: str) -> tuple[str, bool]:
     return text, bool(report.violations)
 
 
+def _oracle_agrees(g: grammar_mod.LocalGrammar, l, limit: int) -> bool:
+    """Product filtering and the brute-force oracle give the same language."""
+    return lattice_mod.language_equal(engine.filter(g, l), engine.filter_oracle(g, l, limit), limit)
+
+
 def cmd_diff_oracle(args: argparse.Namespace, text: str | None) -> tuple[str, bool]:
     """Compare product filtering against the brute-force oracle, either on
     the given text with the configured grammars, or on randomized
@@ -216,9 +221,7 @@ def cmd_diff_oracle(args: argparse.Namespace, text: str | None) -> tuple[str, bo
         trials = 50
         for trial in range(trials):
             inst = random_instance(rng)
-            left = engine.filter(inst.grammar, inst.lattice)
-            right = engine.filter_oracle(inst.grammar, inst.lattice, args.limit)
-            if not lattice_mod.language_equal(left, right, args.limit):
+            if not _oracle_agrees(inst.grammar, inst.lattice, args.limit):
                 return (
                     f"MISMATCH seed={args.seed} trial={trial} text={inst.text!r} "
                     f"grammar={inst.grammar.name}",
@@ -231,9 +234,7 @@ def cmd_diff_oracle(args: argparse.Namespace, text: str | None) -> tuple[str, bo
     grammars = _load_grammars(args, lexicon.categories)
     combined = _combined(grammars)
     l = build_initial_lattice(tokenize(text), lexicon)
-    left = engine.filter(combined, l)
-    right = engine.filter_oracle(combined, l, args.limit)
-    if lattice_mod.language_equal(left, right, args.limit):
+    if _oracle_agrees(combined, l, args.limit):
         return "EQUAL", True
     return "MISMATCH", False
 

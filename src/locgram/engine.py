@@ -20,19 +20,23 @@ with only surface-form inputs the matched portion may check the portion's
 own tags against the inputs directly, and the same shortcut is sound
 whenever conformity to each output implies conformity to its input.
 
-Conformity is decided on integers.  Each grammar is compiled once, on
-first use, into a conformity table cached on the grammar
-(``LocalGrammar.compiled``): for its input and its output side, a
-separator character, a surface form, ``<MOT>``, a main category and a
-lemma each map to the transitions they can satisfy, as a bitmask with
-bit ``i`` for ``transitions[i]``.  A label's mask then costs a few
-dictionary lookups, and each step of a matched portion is one ``&`` of
+Conformity is decided on integers.  Each grammar is compiled once into
+conformity tables (``LocalGrammar.compiled``) that map a label to the
+bitmask of the transitions it can satisfy, bit ``i`` for
+``transitions[i]``; ``tags.conforms`` stays the reference predicate they
+must agree with.  Each step of a matched portion is then one ``&`` of
 the edge's output mask, its span's input mask and the transition's bit.
-``tags.conforms`` stays the reference predicate the table must agree
-with.  The masks a rule allows over the edges form one ``EdgeMasks``
-table per lattice and grammar, aligned with ``Lattice.edges_by_source``:
-built once, then read by the matchable index, ``filter``, ``decompose``
-and the failure diagnostic alike.
+
+One holder, ``_Tables``, keeps the per-edge tables of a lattice and
+grammar, aligned with ``Lattice.edges_by_source`` and each built on
+first use: input and output masks, the matchable index, the witness
+masks (general rule), the own-tag masks (rules A and B) and rule A's
+surface index.  Every verdict reads it.  The engine keeps one slot, the
+holder of the last pair, matched by identity, never by hash, which would
+hash every label: checking many paths of one lattice builds its tables
+once, and at most one lattice's tables outlive a call.  A cache on the
+lattice would keep tables for every grammar it meets, and make the work
+of a call depend on the calls before it.
 
 Every walk is iterative, over lattice states in topological order or path
 positions in order, so no sentence length meets Python's recursion limit.
@@ -42,9 +46,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import reduce
-from operator import itemgetter, or_
-from typing import Callable, Iterable, Sequence, Union
+from functools import cached_property, reduce
+from operator import and_, itemgetter, or_
+from typing import Callable, Iterable, Sequence
 
 from .errors import CorpusFormatError, EnumerationOverflow
 from .grammar import GrammarClass, LocalGrammar, classify
@@ -81,9 +85,6 @@ class FreeBlock:
     position: int
 
 
-Block = Union[MatchedBlock, FreeBlock]
-
-
 @dataclass(frozen=True)
 class Decomposition:
     """A witness partition of a path into matched and free portions."""
@@ -92,34 +93,64 @@ class Decomposition:
 
 
 def _edge_masks(l: Lattice, mask: Callable[[EdgeLabel], int]) -> EdgeMasks:
-    """``mask`` of every edge label, per source state in ``edges_by_source``
-    order."""
+    """``mask`` of every edge label, aligned with ``edges_by_source``."""
     return {q: tuple(mask(e.label) for e in es) for q, es in l.edges_by_source.items()}
 
 
-def _step_masks(l: Lattice, g: LocalGrammar, inputs: EdgeMasks, *, witness: bool) -> EdgeMasks:
-    """The transitions a matched portion may take over each edge, from the
-    input table ``inputs``: the output must conform to the edge's own
-    label, and the input to some label on the same span (``witness``, the
-    general rule) or to the edge's own label (rules A and B)."""
-    outputs = g.compiled.outputs.mask
-    table = {}
-    for q, es in l.edges_by_source.items():
-        allowed = inputs[q]
-        if witness:
+class _Tables:
+    """The per-edge tables of one (lattice, grammar) pair.  A matched
+    portion's step over an edge needs its output to conform to the edge's
+    label, and its input to some label on the same span (``witness``, the
+    general rule) or to the edge's own label (``own``, rules A and B)."""
+
+    last: _Tables | None = None  # the engine's one slot
+
+    def __init__(self, l: Lattice, g: LocalGrammar):
+        self.l, self.g = l, g
+
+    @cached_property
+    def inputs(self) -> EdgeMasks:
+        return _edge_masks(self.l, self.g.compiled.inputs.mask)
+
+    @cached_property
+    def outputs(self) -> EdgeMasks:
+        return _edge_masks(self.l, self.g.compiled.outputs.mask)
+
+    @cached_property
+    def index(self) -> MatchableIndex:
+        return _match_index(self.l, self.g, self.inputs)
+
+    @cached_property
+    def surface_index(self) -> MatchableIndex:
+        table = self.g.compiled.inputs
+
+        def mask(label: EdgeLabel) -> int:
+            literal = table.separators if isinstance(label, Separator) else table.surfaces
+            return literal.get(label.surface, 0)
+
+        return _match_index(self.l, self.g, _edge_masks(self.l, mask))
+
+    @cached_property
+    def witness(self) -> EdgeMasks:
+        table = {}
+        for q, es in self.l.edges_by_source.items():
             span: dict[int, int] = {}
-            for e, m in zip(es, allowed):
+            for e, m in zip(es, self.inputs[q]):
                 span[e.dst] = span.get(e.dst, 0) | m
-            allowed = [span[e.dst] for e in es]
-        table[q] = tuple(outputs(e.label) & m for e, m in zip(es, allowed))
-    return table
+            table[q] = tuple(out & span[e.dst] for e, out in zip(es, self.outputs[q]))
+        return table
+
+    @cached_property
+    def own(self) -> EdgeMasks:
+        return {q: tuple(map(and_, outs, self.inputs[q])) for q, outs in self.outputs.items()}
 
 
-def _general_tables(l: Lattice, g: LocalGrammar) -> tuple[MatchableIndex, EdgeMasks]:
-    """The general rule's ``(matchable index, witness masks)``, both read
-    from one input table."""
-    inputs = _edge_masks(l, g.compiled.inputs.mask)
-    return _match_index(l, g, inputs), _step_masks(l, g, inputs, witness=True)
+def _tables(l: Lattice, g: LocalGrammar) -> _Tables:
+    """The last call's holder if it was for these very objects, else a new one."""
+    t = _Tables.last
+    if t is None or t.l is not l or t.g is not g:
+        t = _Tables.last = _Tables(l, g)
+    return t
 
 
 def _match_index(l: Lattice, g: LocalGrammar, masks: EdgeMasks) -> MatchableIndex:
@@ -157,21 +188,15 @@ def _match_index(l: Lattice, g: LocalGrammar, masks: EdgeMasks) -> MatchableInde
 
 def matchable(l: Lattice, g: LocalGrammar) -> MatchableIndex:
     """States from which some admitted tagging conforms to a complete
-    input sequence of the grammar."""
-    return _match_index(l, g, _edge_masks(l, g.compiled.inputs.mask))
+    input sequence of the grammar; the engine's own dict, not a copy."""
+    return _tables(l, g).index
 
 
 def surface_matchable(l: Lattice, g: LocalGrammar) -> MatchableIndex:
     """States from which the raw text matches some input sequence: only the
     written form of each edge counts, against the grammar's literal
     inputs, not the analysis the edge carries."""
-    table = g.compiled.inputs
-
-    def mask(label: EdgeLabel) -> int:
-        literal = table.separators if isinstance(label, Separator) else table.surfaces
-        return literal.get(label.surface, 0)
-
-    return _match_index(l, g, _edge_masks(l, mask))
+    return _tables(l, g).surface_index
 
 
 def _check_path(l: Lattice, p: Sequence[Edge], masks: EdgeMasks) -> tuple[tuple, list[int]]:
@@ -197,7 +222,7 @@ def _check_path(l: Lattice, p: Sequence[Edge], masks: EdgeMasks) -> tuple[tuple,
 
 
 def _decompose(
-    g: LocalGrammar, p: Sequence[Edge], l: Lattice, index: MatchableIndex, masks: EdgeMasks
+    t: _Tables, p: Sequence[Edge], index: MatchableIndex, masks: EdgeMasks
 ) -> Decomposition | None:
     """Dynamic programming over path positions, from the last to the first.
     Matched portions take the transitions ``masks`` allows over each edge:
@@ -206,7 +231,7 @@ def _decompose(
     text, same delimitation.  Any valid partition suffices; from each
     position a free portion is preferred, then the matched portion with
     the nearest end."""
-    edges, ok = _check_path(l, p, masks)
+    edges, ok = _check_path(t.l, p, masks)
     m = len(edges)
     # first[i]: the first block of a partition of positions i.., and the
     # position after it; None while no partition is known
@@ -215,7 +240,7 @@ def _decompose(
         if not index[edges[i].src] and first[i + 1] is not None:
             first[i] = (FreeBlock(i), i + 1)
             continue
-        portions, _ = _portion_walk(g, ok, i)
+        portions, _ = _portion_walk(t.g, ok, i)
         first[i] = next(
             ((MatchedBlock(i, end, pairs), end) for end, pairs in portions if first[end] is not None),
             None,
@@ -230,19 +255,10 @@ def _decompose(
     return Decomposition(tuple(blocks))
 
 
-def decompose(
-    g: LocalGrammar,
-    p: Path,
-    l: Lattice,
-    *,
-    tables: tuple[MatchableIndex, EdgeMasks] | None = None,
-) -> Decomposition | None:
-    """Witness partition under the general rule, or None when rejected.
-    ``tables`` is ``_general_tables(l, g)``, for a caller that already has
-    it."""
-    if tables is None:
-        tables = _general_tables(l, g)
-    return _decompose(g, p, l, *tables)
+def decompose(g: LocalGrammar, p: Path, l: Lattice) -> Decomposition | None:
+    """Witness partition under the general rule, or None when rejected."""
+    t = _tables(l, g)
+    return _decompose(t, p, t.index, t.witness)
 
 
 def accepts(g: LocalGrammar, p: Path, l: Lattice) -> bool:
@@ -256,9 +272,8 @@ def accepts_case_a(g: LocalGrammar, p: Path, l: Lattice) -> bool:
     portions require the raw text to match no input sequence."""
     if classify(g) is not GrammarClass.SIMPLE_INPUTS:
         raise ValueError("rule requires a grammar with only surface-form inputs")
-    inputs = _edge_masks(l, g.compiled.inputs.mask)
-    own = _step_masks(l, g, inputs, witness=False)
-    return _decompose(g, p, l, surface_matchable(l, g), own) is not None
+    t = _tables(l, g)
+    return _decompose(t, p, t.surface_index, t.own) is not None
 
 
 def accepts_case_b(g: LocalGrammar, p: Path, l: Lattice) -> bool:
@@ -266,9 +281,8 @@ def accepts_case_b(g: LocalGrammar, p: Path, l: Lattice) -> bool:
     implies conformity to its input label (literal inputs included)."""
     if classify(g) is GrammarClass.GENERAL:
         raise ValueError("rule requires output labels that imply their input labels")
-    inputs = _edge_masks(l, g.compiled.inputs.mask)
-    own = _step_masks(l, g, inputs, witness=False)
-    return _decompose(g, p, l, _match_index(l, g, inputs), own) is not None
+    t = _tables(l, g)
+    return _decompose(t, p, t.index, t.own) is not None
 
 
 _FREE = None  # product mode marker for "between portions"
@@ -286,7 +300,8 @@ def filter(g: LocalGrammar, l: Lattice) -> Lattice:
     result is trim as built: one ``Lattice.build``, no rebuild by ``trim``.
     An empty result is permitted; callers can test ``is_empty_language``.
     """
-    index, portion = _general_tables(l, g)
+    t = _tables(l, g)
+    index, portion = t.index, t.witness
     steps = g.compiled.steps
     finals = g.finals
     by_source = l.edges_by_source
@@ -327,13 +342,11 @@ def filter_oracle(g: LocalGrammar, l: Lattice, limit: int = DEFAULT_PATH_LIMIT) 
     enum = enumerate_paths(l, limit)
     if enum.truncated:
         raise EnumerationOverflow(f"more than {limit} paths")
-    index, masks = _general_tables(l, g)
-    survivors = [path_labels(p) for p in enum.paths if _decompose(g, p, l, index, masks) is not None]
+    survivors = [path_labels(p) for p in enum.paths if decompose(g, p, l) is not None]
     return _trie_lattice(survivors)
 
 
-def _trie_lattice(sequences: Iterable[tuple]) -> Lattice:
-    sequences = list(sequences)
+def _trie_lattice(sequences: list[tuple]) -> Lattice:
     if not sequences:
         return Lattice.build(0, 1, [], extra_states=(0, 1))
     if sequences == [()]:
@@ -389,15 +402,10 @@ class SilenceReport:
 def parse_tag_sequence(text: str, categories: Iterable[str]) -> list[EdgeLabel]:
     """Parse a whitespace-separated sequence of complete tags and bare
     separator characters, e.g. ``<faire V:P3s> - <il PRO:3ms>``."""
-    labels: list[EdgeLabel] = []
-    for piece in re.findall(r"<[^<>]*>|\S", text):
-        if piece.startswith("<"):
-            labels.append(parse_complete_tag(piece, categories))
-        elif len(piece) == 1:
-            labels.append(Separator(piece))
-        else:
-            raise CorpusFormatError(f"unparsable sequence item {piece!r}")
-    return labels
+    return [
+        parse_complete_tag(piece, categories) if piece.startswith("<") else Separator(piece)
+        for piece in re.findall(r"<[^<>]*>|\S", text)
+    ]
 
 
 def _label_matches_gold(edge_label: EdgeLabel, gold: EdgeLabel) -> bool:
@@ -464,12 +472,11 @@ def _portion_walk(g: LocalGrammar, ok: Sequence[int], start: int) -> tuple[list,
     return found, touched
 
 
-def _failure_span(
-    g: LocalGrammar, p: Path, l: Lattice, index: MatchableIndex, masks: EdgeMasks
-) -> tuple:
-    """Diagnostic for a rejected path: the furthest position reachable by
-    valid portions, extended over the longest portion attempt stuck there."""
-    edges, ok = _check_path(l, p, masks)
+def _failure_span(t: _Tables, p: Path) -> tuple:
+    """Diagnostic for a path the general rule rejects: the furthest
+    position reachable by valid portions, extended over the longest
+    portion attempt stuck there."""
+    edges, ok = _check_path(t.l, p, t.witness)
     m = len(edges)
     reach = {0}
     worklist = [0]
@@ -477,16 +484,16 @@ def _failure_span(
         i = worklist.pop()
         if i >= m:
             continue
-        portions, _ = _portion_walk(g, ok, i)
+        portions, _ = _portion_walk(t.g, ok, i)
         ends = [end for end, _ in portions]
-        if not index[edges[i].src]:
+        if not t.index[edges[i].src]:
             ends.append(i + 1)
         for j in ends:
             if j not in reach:
                 reach.add(j)
                 worklist.append(j)
     stuck = max(reach)
-    _, touched = _portion_walk(g, ok, stuck)
+    _, touched = _portion_walk(t.g, ok, stuck)
     return (stuck, touched + 1)
 
 
@@ -510,9 +517,8 @@ def silence_check(g: LocalGrammar, corpus: Sequence[CorpusItem], lexicon: Lexico
         if path is None:
             errors.append((item.sentence_id, "gold tagging is not admitted by the lexicon"))
             continue
-        tables = _general_tables(l, g)
-        if decompose(g, path, l, tables=tables) is None:
-            span = _failure_span(g, path, l, *tables)
+        if decompose(g, path, l) is None:
+            span = _failure_span(_tables(l, g), path)
             violations.append(SilenceViolation(item.sentence_id, span, g.name))
     return SilenceReport(tuple(violations), tuple(errors))
 

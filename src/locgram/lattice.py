@@ -86,13 +86,6 @@ class Lattice:
             table[e.src].append(e)
         return {q: tuple(es) for q, es in table.items()}
 
-    @cached_property
-    def labels_by_span(self) -> dict[tuple[int, int], tuple[EdgeLabel, ...]]:
-        table: dict[tuple[int, int], list[EdgeLabel]] = {}
-        for e in self.edges:
-            table.setdefault((e.src, e.dst), []).append(e.label)
-        return {span: tuple(labels) for span, labels in table.items()}
-
     def is_empty_language(self) -> bool:
         """True when no path joins the initial to the final state."""
         return self.final not in _reachable((self.initial,), (e[:2] for e in self.edges))

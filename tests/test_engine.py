@@ -26,7 +26,7 @@ from locgram.grammar import load_grammar
 from locgram.lattice import enumerate_paths, language, language_equal, minimize, to_json, trim
 from locgram.randgen import random_instance
 from locgram.tags import parse_complete_tag
-from conftest import LONG_REPEATS, LONG_TEXT
+from conftest import LONG_REPEATS, LONG_TEXT, SENTENCES
 
 CATS = ("V", "N", "A", "ADV", "PRO", "DET", "PREP", "CNJS", "CNJC", "XI", "INT")
 
@@ -426,6 +426,16 @@ class TestMaskTables:
         report = silence_check(grammars["ne-verb"], corpus, lexicon)
         assert report.lines() == ["SILENCE s1 0-2 ne-verb"]
         l = build_initial_lattice(tokenize("Ne lui dis pas"), lexicon)
+        assert 0 < len(mask_calls) <= 2 * len(l.edges)
+
+    def test_accepts_every_path_masks_each_edge_once(self, grammars, lexicon, mask_calls):
+        # a lattice of its own, so no earlier test has met this pair
+        l = build_initial_lattice(tokenize(SENTENCES["confirm-chain"]), lexicon)
+        g = grammars["de-ce-que-chain"]
+        paths = enumerate_paths(l).paths
+        assert len(paths) > 1000
+        for p in paths:
+            assert accepts(g, p, l) == accepts_case_a(g, p, l) == accepts_case_b(g, p, l)
         assert 0 < len(mask_calls) <= 2 * len(l.edges)
 
 

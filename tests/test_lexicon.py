@@ -111,12 +111,16 @@ class TestBuildInitialLattice:
     def test_repeated_word_shares_labels_within_one_call(self, lexicon):
         text = "Je ne me le suis pas fait confirmer sur le moment"
         l = build_initial_lattice(tokenize(text), lexicon)
-        first, second = l.labels_by_span[(3, 4)], l.labels_by_span[(9, 10)]
+
+        def span_labels(lattice, src, dst):
+            return [e.label for e in lattice.edges_by_source[src] if e.dst == dst]
+
+        first, second = span_labels(l, 3, 4), span_labels(l, 9, 10)
         assert len(first) > 1
         assert all(a is b for a, b in zip(first, second, strict=True))
         # nothing is kept across calls
         again = build_initial_lattice(tokenize(text), lexicon)
-        assert not any(a is b for a, b in zip(first, again.labels_by_span[(3, 4)]))
+        assert not any(a is b for a, b in zip(first, span_labels(again, 3, 4)))
 
     def test_unknown_word_aborts_with_token(self, lexicon):
         with pytest.raises(UnknownWordError) as info:
