@@ -1,10 +1,12 @@
 """Command-line pipeline: initial tagging, grammar application, silence
 checking, and oracle cross-checks.
 
-Exit codes: 0 ok, 1 silence violations (or oracle mismatch), 2 unknown
-word, 3 empty filtering result, 4 bad grammar/lexicon/corpus input or
-option value, 5 enumeration overflow, 6 internal error (reported with its
-traceback; a crash is never a verdict).
+Each command takes the parsed arguments and returns its stdout text and
+its exit code: 0 ok, 1 silence violations (or oracle mismatch), 3 empty
+filtering result.  ``main`` maps exceptions to the other codes: 2 unknown
+word, 4 bad grammar/lexicon/corpus input or option value, 5 enumeration
+overflow, 6 internal error (reported with its traceback; a crash is never
+a verdict).
 """
 
 from __future__ import annotations
@@ -24,18 +26,9 @@ from .errors import (
     TagFormatError,
     UnknownWordError,
 )
-from .lexicon import (
-    Lexicon,
-    TokenKind,
-    build_initial_lattice,
-    compound_matches,
-    expand_entry,
-    load_categories,
-    load_lexicon,
-    tokenize,
-)
+from .lexicon import Lexicon, build_initial_lattice, load_categories, load_lexicon, tokenize
 from .randgen import random_instance
-from .tags import collation_key
+from .tags import Separator, collation_key
 
 
 def _load_categories(args: argparse.Namespace) -> tuple[str, ...]:
@@ -55,13 +48,16 @@ def _load_lexicon(args: argparse.Namespace) -> Lexicon:
     return load_lexicon(Path(path).read_text(encoding="utf-8").splitlines(), categories)
 
 
-def _load_grammars(args: argparse.Namespace, categories) -> list:
+def _inputs(args: argparse.Namespace) -> tuple[Lexicon, list]:
+    """The lexicon, then the grammars over its categories."""
+    lexicon = _load_lexicon(args)
     if not args.grammars:
         raise GrammarFormatError("at least one --grammar file is required")
-    return [
-        grammar_mod.load_grammar(Path(p).read_text(encoding="utf-8"), categories)
+    grammars = [
+        grammar_mod.load_grammar(Path(p).read_text(encoding="utf-8"), lexicon.categories)
         for p in args.grammars
     ]
+    return lexicon, grammars
 
 
 def _combined(grammars: list) -> grammar_mod.LocalGrammar:
@@ -69,57 +65,40 @@ def _combined(grammars: list) -> grammar_mod.LocalGrammar:
     return grammars[0] if len(grammars) == 1 else grammar_mod.union(grammars)
 
 
-def _quoted(tag) -> str:
-    return f'"{tag.display()}"'
-
-
-def _group(token, lexicon: Lexicon) -> str:
-    tags = lexicon.lookup(token.lookup)
-    if not tags:
-        raise UnknownWordError(token)
-    ordered = sorted({_quoted(t) for t in tags}, key=collation_key)
-    return "(" + " + ".join(ordered) + ")"
-
-
 def alternative_listing(tokens, lexicon: Lexicon) -> str:
-    """Parenthesized per-token alternative listing.  Token spans covered by
-    compound entries open a block giving the compounds first, then the
-    simple-word reading of the same span; overlapping compound spans are
-    flattened into one block."""
+    """Render the initial lattice as a parenthesized per-token listing.
+
+    Its states are the token boundaries, so the edges ``i -> i+1`` are the
+    simple readings of token ``i`` (or its one separator) and the longer
+    edges are compounds.  A span covered by compounds opens a block giving
+    the compounds first, then the simple readings of the same span;
+    overlapping compound spans are flattened into one block."""
+    by_source = build_initial_lattice(tokens, lexicon).edges_by_source
+
+    def quoted(edges) -> list[str]:
+        return sorted({f'"{e.label.display()}"' for e in edges}, key=collation_key)
+
+    def simple(i: int) -> str:
+        first = by_source[i][0]  # a separator token has one edge, its separator
+        if isinstance(first.label, Separator):
+            return first.label.char
+        return "(" + " + ".join(quoted(e for e in by_source[i] if e.dst == i + 1)) + ")"
+
     lines: list[str] = []
     i = 0
-    n = len(tokens)
-    while i < n:
-        token = tokens[i]
-        if token.kind is TokenKind.SEPARATOR:
-            lines.append(token.text)
-            i += 1
-            continue
-        end = i + 1
-        compounds = []
-        j = i
+    while i < len(tokens):
+        end, j = i + 1, i
         while j < end:
-            if tokens[j].kind is TokenKind.WORD:
-                for entry in compound_matches(tokens, j, lexicon):
-                    compounds.append(entry)
-                    end = max(end, j + len(entry.surface_tokens))
+            end = max(end, by_source[j][-1].dst)  # edges sort by target: the last goes furthest
             j += 1
-        if not compounds:
-            lines.append(_group(token, lexicon))
-            i += 1
-            continue
-        lines.append("(")
-        compound_tags = [t for entry in compounds for t in expand_entry(entry)]
-        for quoted in sorted({_quoted(t) for t in compound_tags}, key=collation_key):
-            lines.append(quoted)
-            lines.append("+")
-        for k in range(i, end):
-            inner = tokens[k]
-            if inner.kind is TokenKind.SEPARATOR:
-                lines.append(inner.text)
-            else:
-                lines.append(_group(inner, lexicon))
-        lines.append(")")
+        if end == i + 1:
+            lines.append(simple(i))
+        else:
+            lines.append("(")
+            for label in quoted(e for k in range(i, end) for e in by_source[k] if e.dst > k + 1):
+                lines += [label, "+"]
+            lines.extend(simple(k) for k in range(i, end))
+            lines.append(")")
         i = end
     return "\n".join(lines)
 
@@ -145,48 +124,33 @@ def _render_lattice(l, fmt: str | None, limit: int) -> str:
     raise GrammarFormatError(f"format {fmt!r} does not apply to this command")
 
 
-def cmd_tag(args: argparse.Namespace, text: str) -> str:
+def cmd_tag(args: argparse.Namespace) -> tuple[str, int]:
     """Initial tagging.  ``paths`` format prints the alternative listing;
     ``lattice``/``dot`` serialize the automaton."""
     lexicon = _load_lexicon(args)
-    tokens = tokenize(text)
-    fmt = args.format or "paths"
-    if fmt == "paths":
-        return alternative_listing(tokens, lexicon)
-    l = build_initial_lattice(tokens, lexicon)
-    return _render_lattice(l, fmt, args.limit)
+    tokens = tokenize(args.text)
+    if (args.format or "paths") == "paths":
+        return alternative_listing(tokens, lexicon), 0
+    return _render_lattice(build_initial_lattice(tokens, lexicon), args.format, args.limit), 0
 
 
-def _apply_grammars(args: argparse.Namespace, text: str):
-    lexicon = _load_lexicon(args)
-    categories = lexicon.categories
-    grammars = _load_grammars(args, categories)
-    l = build_initial_lattice(tokenize(text), lexicon)
-    if args.sequential:
-        filtered = l
-        for g in grammars:
-            filtered = engine.filter(g, filtered)
-    else:
-        combined = _combined(grammars)
-        filtered = engine.filter(combined, l)
-    return filtered
+def cmd_apply(args: argparse.Namespace) -> tuple[str, int]:
+    """Filter the initial lattice; exit 3 when no tagging survives.
+    Grammars combine by shared initial/final state unless ``--sequential``
+    chains them, re-deriving context at each step."""
+    lexicon, grammars = _inputs(args)
+    filtered = build_initial_lattice(tokenize(args.text), lexicon)
+    for g in grammars if args.sequential else [_combined(grammars)]:
+        filtered = engine.filter(g, filtered)
+    out = _render_lattice(filtered, args.format, args.limit)
+    return out, 3 if filtered.is_empty_language() else 0
 
 
-def cmd_apply(args: argparse.Namespace, text: str) -> tuple[str, bool]:
-    """Filter the initial lattice; returns output text and an emptiness
-    flag (grammars combine by shared initial/final state unless
-    ``--sequential`` chains them, re-deriving context at each step)."""
-    filtered = _apply_grammars(args, text)
-    empty = filtered.is_empty_language()
-    return _render_lattice(filtered, args.format, args.limit), empty
-
-
-def cmd_check(args: argparse.Namespace, corpus_file: str) -> tuple[str, bool]:
+def cmd_check(args: argparse.Namespace) -> tuple[str, int]:
     """Zero-silence check of the combined grammars against gold taggings."""
-    lexicon = _load_lexicon(args)
-    grammars = _load_grammars(args, lexicon.categories)
+    lexicon, grammars = _inputs(args)
     combined = _combined(grammars)
-    corpus = engine.load_corpus(Path(corpus_file).read_text(encoding="utf-8").splitlines())
+    corpus = engine.load_corpus(Path(args.corpus).read_text(encoding="utf-8").splitlines())
     report = engine.silence_check(combined, corpus, lexicon)
     if args.format == "report":
         import json
@@ -204,7 +168,7 @@ def cmd_check(args: argparse.Namespace, corpus_file: str) -> tuple[str, bool]:
         text = json.dumps(doc, ensure_ascii=False, indent=2)
     else:
         text = "\n".join(report.lines())
-    return text, bool(report.violations)
+    return text, 1 if report.violations else 0
 
 
 def _oracle_agrees(g: grammar_mod.LocalGrammar, l, limit: int) -> bool:
@@ -212,7 +176,7 @@ def _oracle_agrees(g: grammar_mod.LocalGrammar, l, limit: int) -> bool:
     return lattice_mod.language_equal(engine.filter(g, l), engine.filter_oracle(g, l, limit), limit)
 
 
-def cmd_diff_oracle(args: argparse.Namespace, text: str | None) -> tuple[str, bool]:
+def cmd_diff_oracle(args: argparse.Namespace) -> tuple[str, int]:
     """Compare product filtering against the brute-force oracle, either on
     the given text with the configured grammars, or on randomized
     instances when ``--seed`` is set."""
@@ -225,18 +189,19 @@ def cmd_diff_oracle(args: argparse.Namespace, text: str | None) -> tuple[str, bo
                 return (
                     f"MISMATCH seed={args.seed} trial={trial} text={inst.text!r} "
                     f"grammar={inst.grammar.name}",
-                    False,
+                    1,
                 )
-        return f"EQUAL ({trials} randomized instances, seed={args.seed})", True
-    if text is None:
+        return f"EQUAL ({trials} randomized instances, seed={args.seed})", 0
+    if args.text is None:
         raise GrammarFormatError("diff-oracle needs a text argument or --seed")
-    lexicon = _load_lexicon(args)
-    grammars = _load_grammars(args, lexicon.categories)
-    combined = _combined(grammars)
-    l = build_initial_lattice(tokenize(text), lexicon)
-    if _oracle_agrees(combined, l, args.limit):
-        return "EQUAL", True
-    return "MISMATCH", False
+    lexicon, grammars = _inputs(args)
+    l = build_initial_lattice(tokenize(args.text), lexicon)
+    if _oracle_agrees(_combined(grammars), l, args.limit):
+        return "EQUAL", 0
+    return "MISMATCH", 1
+
+
+COMMANDS = {"tag": cmd_tag, "apply": cmd_apply, "check": cmd_check, "diff-oracle": cmd_diff_oracle}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -277,29 +242,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: --limit must be positive, not {args.limit}", file=sys.stderr)
         return 4
     try:
-        if args.command == "tag":
-            out = cmd_tag(args, args.text)
-            if out:
-                print(out)
-            return 0
-        if args.command == "apply":
-            out, empty = cmd_apply(args, args.text)
-            if out:
-                print(out)
-            if empty:
-                print("warning: every tagging was rejected", file=sys.stderr)
-                return 3
-            return 0
-        if args.command == "check":
-            out, violations = cmd_check(args, args.corpus)
-            if out:
-                print(out)
-            return 1 if violations else 0
-        if args.command == "diff-oracle":
-            out, ok = cmd_diff_oracle(args, args.text)
+        out, code = COMMANDS[args.command](args)
+        if out:
             print(out)
-            return 0 if ok else 1
-        raise AssertionError(args.command)
+        if code == 3:
+            print("warning: every tagging was rejected", file=sys.stderr)
+        return code
     except UnknownWordError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -50,7 +50,7 @@ from functools import cached_property, reduce
 from operator import and_, itemgetter, or_
 from typing import Callable, Iterable, Sequence
 
-from .errors import CorpusFormatError, EnumerationOverflow
+from .errors import CorpusFormatError, EnumerationOverflow, TagFormatError, UnknownWordError
 from .grammar import GrammarClass, LocalGrammar, classify
 from .lattice import (
     DEFAULT_PATH_LIMIT,
@@ -122,6 +122,8 @@ class _Tables:
 
     @cached_property
     def surface_index(self) -> MatchableIndex:
+        """Rule A's index: only the written form of each edge counts,
+        against the grammar's literal inputs, not the analysis it carries."""
         table = self.g.compiled.inputs
 
         def mask(label: EdgeLabel) -> int:
@@ -190,13 +192,6 @@ def matchable(l: Lattice, g: LocalGrammar) -> MatchableIndex:
     """States from which some admitted tagging conforms to a complete
     input sequence of the grammar; the engine's own dict, not a copy."""
     return _tables(l, g).index
-
-
-def surface_matchable(l: Lattice, g: LocalGrammar) -> MatchableIndex:
-    """States from which the raw text matches some input sequence: only the
-    written form of each edge counts, against the grammar's literal
-    inputs, not the analysis the edge carries."""
-    return _tables(l, g).surface_index
 
 
 def _check_path(l: Lattice, p: Sequence[Edge], masks: EdgeMasks) -> tuple[tuple, list[int]]:
@@ -510,7 +505,7 @@ def silence_check(g: LocalGrammar, corpus: Sequence[CorpusItem], lexicon: Lexico
             tokens = tokenize(item.text)
             l = build_initial_lattice(tokens, lexicon)
             labels = parse_tag_sequence(item.gold, lexicon.categories)
-        except Exception as exc:
+        except (UnknownWordError, TagFormatError) as exc:  # malformed input, not a crash
             errors.append((item.sentence_id, str(exc)))
             continue
         path = resolve_tag_sequence(l, labels)

@@ -96,6 +96,7 @@ def mask_calls(monkeypatch):
         return mask(self, label)
 
     monkeypatch.setattr(ConformityTable, "mask", counting)
+    monkeypatch.setattr("locgram.engine._Tables.last", None)  # no tables from an earlier test
     return calls
 
 

@@ -1,4 +1,8 @@
+import hashlib
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,8 @@ NE_VERB = fixtures.grammar_path("ne-verb")
 NE_LUI = fixtures.grammar_path("ne-lui")
 
 CONFIRM_CHAIN = "Cela vient de ce que je ne me le suis pas fait confirmer aussitôt"
+
+ROOT = Path(__file__).resolve().parent.parent
 
 EXPECTED_MOMENT_LISTING = """\
 ("je.PRO:1s")
@@ -27,6 +33,26 @@ EXPECTED_MOMENT_LISTING = """\
 ("sur.A:ms" + "sur.PREP")
 ("le.DET:ms" + "le.PRO:3ms")
 ("moment.N:ms")
+)
+"""
+
+EXPECTED_OVERLAP_LISTING = """\
+(
+"a/b.N"
++
+"b/c.ADV"
++
+("a.N")
+("b.N:p" + "b.N:s")
+("c.V")
+)
+-
+(
+"a-b.N"
++
+("a.N")
+-
+("b.N:p" + "b.N:s")
 )
 """
 
@@ -76,6 +102,22 @@ class TestTag:
         )
         assert code == 0
         assert '"lui.PRO:3s" + "luire.V:Kms"' in out
+
+    def test_listing_flattens_overlapping_compounds(self, capsys, tmp_path):
+        # "a b" and "b c" overlap, so one block covers all three tokens;
+        # "a-b" spans a separator, which its block lists in place
+        lexicon = tmp_path / "lexicon.txt"
+        lexicon.write_text(
+            "a,a.N\nb,b.N:s:p\nc,c.V\na b,a b.N\nb c,b c.ADV\na-b,a-b.N\n", encoding="utf-8"
+        )
+        categories = tmp_path / "categories.txt"
+        categories.write_text("N\nV\nADV\n", encoding="utf-8")
+        code, out, _ = run(
+            capsys, "tag", "--lexicon", str(lexicon), "--categories", str(categories),
+            "a b c - a-b",
+        )
+        assert code == 0
+        assert out == EXPECTED_OVERLAP_LISTING
 
 
 class TestApply:
@@ -240,6 +282,16 @@ class TestCheck:
         code, _, _ = run(capsys, "check", "--grammar", NE_VERB, str(corpus))
         assert code == 4
 
+    def test_broken_gold_tag_is_a_corpus_error(self, capsys, tmp_path):
+        corpus = tmp_path / "broken.txt"
+        corpus.write_text(
+            "T: Ne lui dis pas\nG: <ne XI> <lui PRO:3ms <dire V:P3s> <pas ADV>\n",
+            encoding="utf-8",
+        )
+        code, out, _ = run(capsys, "check", "--grammar", NE_VERB, str(corpus))
+        assert code == 0
+        assert out.startswith("CORPUS-ERROR s1 ")
+
 
 class TestExitCodes:
     def test_internal_error_exits_6(self, capsys, monkeypatch):
@@ -252,6 +304,17 @@ class TestExitCodes:
         assert out == ""
         assert "internal error: RuntimeError('boom')" in err
         assert "Traceback" in err
+
+    def test_internal_error_in_check_exits_6(self, capsys, monkeypatch):
+        # a crash while reading a sentence is no corpus error
+        def crash(tokens, lexicon):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(engine, "build_initial_lattice", crash)
+        code, out, err = run(capsys, "check", "--grammar", NE_VERB, fixtures.corpus_path())
+        assert code == 6
+        assert out == ""
+        assert "internal error" in err
 
     def test_directory_as_grammar_exits_4(self, capsys, tmp_path):
         code, _, err = run(capsys, "apply", "--grammar", str(tmp_path), "Ne lui dis pas")
@@ -303,3 +366,24 @@ class TestDeterminism:
         code2, out2, _ = run(capsys, *argv)
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+class TestBenchmarkCatalogue:
+    def test_outputs_match_committed_digests(self, capsys, monkeypatch):
+        """Every ``cli-edit-loop`` command keeps its exit code and stdout
+        digest in ``perfbench/cli_expected.json``."""
+        perfbench = ROOT / "perfbench"
+        spec = importlib.util.spec_from_file_location("perfbench_gen", perfbench / "gen.py")
+        gen = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, gen)  # its dataclasses look it up
+        spec.loader.exec_module(gen)
+        expected = json.loads((perfbench / "cli_expected.json").read_text(encoding="utf-8"))
+        monkeypatch.chdir(ROOT)
+        mismatches = []
+        for argv in gen.cli_catalogue():
+            code, out, _ = run(capsys, *argv)
+            want = expected[gen.cli_key(argv)]
+            got = {"exit": code, "stdout_sha256": hashlib.sha256(out.encode("utf-8")).hexdigest()}
+            if got != want:
+                mismatches.append((argv, got, want))
+        assert mismatches == []
