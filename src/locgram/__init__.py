@@ -26,6 +26,7 @@ from .errors import (
     CorpusFormatError,
     EnumerationOverflow,
     GrammarFormatError,
+    InputError,
     LatticeFormatError,
     LexiconFormatError,
     TagFormatError,

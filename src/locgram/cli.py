@@ -4,9 +4,9 @@ checking, and oracle cross-checks.
 Each command takes the parsed arguments and returns its stdout text and
 its exit code: 0 ok, 1 silence violations (or oracle mismatch), 3 empty
 filtering result.  ``main`` maps exceptions to the other codes: 2 unknown
-word, 4 bad grammar/lexicon/corpus input or option value, 5 enumeration
-overflow, 6 internal error (reported with its traceback; a crash is never
-a verdict).
+word, 4 usage error or bad grammar/lexicon/corpus input (a file that is
+not UTF-8 included), 5 enumeration overflow, 6 internal error (reported
+with its traceback; a crash is never a verdict).
 """
 
 from __future__ import annotations
@@ -17,24 +17,24 @@ import sys
 from pathlib import Path
 
 from . import engine, fixtures, grammar as grammar_mod, lattice as lattice_mod
-from .errors import (
-    CorpusFormatError,
-    EnumerationOverflow,
-    GrammarFormatError,
-    LatticeFormatError,
-    LexiconFormatError,
-    TagFormatError,
-    UnknownWordError,
-)
+from .errors import EnumerationOverflow, GrammarFormatError, InputError, UnknownWordError
 from .lexicon import Lexicon, build_initial_lattice, load_categories, load_lexicon, tokenize
 from .randgen import random_instance
 from .tags import Separator, collation_key
 
 
+def _read(path: str) -> str:
+    """An input file's text; a file that is not UTF-8 is malformed input."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+
+
 def _load_categories(args: argparse.Namespace) -> tuple[str, ...]:
     if args.categories is None:
         return fixtures.core_categories()
-    return load_categories(Path(args.categories).read_text(encoding="utf-8").splitlines())
+    return load_categories(_read(args.categories).splitlines())
 
 
 def _load_lexicon(args: argparse.Namespace) -> Lexicon:
@@ -45,7 +45,7 @@ def _load_lexicon(args: argparse.Namespace) -> Lexicon:
         path = fixtures.lexicon_path()
     else:
         path = args.lexicon
-    return load_lexicon(Path(path).read_text(encoding="utf-8").splitlines(), categories)
+    return load_lexicon(_read(path).splitlines(), categories)
 
 
 def _inputs(args: argparse.Namespace) -> tuple[Lexicon, list]:
@@ -53,10 +53,7 @@ def _inputs(args: argparse.Namespace) -> tuple[Lexicon, list]:
     lexicon = _load_lexicon(args)
     if not args.grammars:
         raise GrammarFormatError("at least one --grammar file is required")
-    grammars = [
-        grammar_mod.load_grammar(Path(p).read_text(encoding="utf-8"), lexicon.categories)
-        for p in args.grammars
-    ]
+    grammars = [grammar_mod.load_grammar(_read(p), lexicon.categories) for p in args.grammars]
     return lexicon, grammars
 
 
@@ -113,15 +110,11 @@ def _paths_listing(l, limit: int) -> str:
     return "\n".join(lines)
 
 
-def _render_lattice(l, fmt: str | None, limit: int) -> str:
-    fmt = fmt or "lattice"
-    if fmt == "paths":
-        return _paths_listing(l, limit)
-    if fmt == "lattice":
-        return lattice_mod.to_json(l).rstrip("\n")
-    if fmt == "dot":
-        return lattice_mod.to_dot(l).rstrip("\n")
-    raise GrammarFormatError(f"format {fmt!r} does not apply to this command")
+def _render_lattice(l, args: argparse.Namespace) -> str:
+    """``l`` in ``args.format``; only ``paths`` reads ``args.limit``."""
+    if args.format == "paths":
+        return _paths_listing(l, args.limit)
+    return (lattice_mod.to_dot if args.format == "dot" else lattice_mod.to_json)(l).rstrip("\n")
 
 
 def cmd_tag(args: argparse.Namespace) -> tuple[str, int]:
@@ -129,9 +122,9 @@ def cmd_tag(args: argparse.Namespace) -> tuple[str, int]:
     ``lattice``/``dot`` serialize the automaton."""
     lexicon = _load_lexicon(args)
     tokens = tokenize(args.text)
-    if (args.format or "paths") == "paths":
+    if args.format == "paths":
         return alternative_listing(tokens, lexicon), 0
-    return _render_lattice(build_initial_lattice(tokens, lexicon), args.format, args.limit), 0
+    return _render_lattice(build_initial_lattice(tokens, lexicon), args), 0
 
 
 def cmd_apply(args: argparse.Namespace) -> tuple[str, int]:
@@ -142,7 +135,7 @@ def cmd_apply(args: argparse.Namespace) -> tuple[str, int]:
     filtered = build_initial_lattice(tokenize(args.text), lexicon)
     for g in grammars if args.sequential else [_combined(grammars)]:
         filtered = engine.filter(g, filtered)
-    out = _render_lattice(filtered, args.format, args.limit)
+    out = _render_lattice(filtered, args)
     return out, 3 if filtered.is_empty_language() else 0
 
 
@@ -150,7 +143,7 @@ def cmd_check(args: argparse.Namespace) -> tuple[str, int]:
     """Zero-silence check of the combined grammars against gold taggings."""
     lexicon, grammars = _inputs(args)
     combined = _combined(grammars)
-    corpus = engine.load_corpus(Path(args.corpus).read_text(encoding="utf-8").splitlines())
+    corpus = engine.load_corpus(_read(args.corpus).splitlines())
     report = engine.silence_check(combined, corpus, lexicon)
     if args.format == "report":
         import json
@@ -204,11 +197,20 @@ def cmd_diff_oracle(args: argparse.Namespace) -> tuple[str, int]:
 COMMANDS = {"tag": cmd_tag, "apply": cmd_apply, "check": cmd_check, "diff-oracle": cmd_diff_oracle}
 
 
+def positive_int(text: str) -> int:
+    """``--limit``'s type; argparse reports its ValueError as an invalid value."""
+    if int(text) < 1:
+        raise ValueError(text)
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--lexicon", metavar="F", help="lexicon file (default: bundled)")
-    common.add_argument("--categories", metavar="F", help="category inventory file")
-    common.add_argument(
+    """One subparser per command, from parent parsers: each takes only the options it reads."""
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--lexicon", metavar="F", help="lexicon file (default: bundled)")
+    inputs.add_argument("--categories", metavar="F", help="category inventory file")
+    grammars = argparse.ArgumentParser(add_help=False, parents=[inputs])
+    grammars.add_argument(
         "--grammar",
         dest="grammars",
         metavar="F",
@@ -216,31 +218,37 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         help="grammar file (repeatable)",
     )
-    common.add_argument(
-        "--sequential", action="store_true", help="apply grammars one after another"
+    filters = argparse.ArgumentParser(add_help=False, parents=[grammars])
+    filters.add_argument(
+        "--limit", type=positive_int, default=lattice_mod.DEFAULT_PATH_LIMIT, metavar="N"
     )
-    common.add_argument("--format", choices=["paths", "lattice", "dot", "report"])
-    common.add_argument("--limit", type=int, default=lattice_mod.DEFAULT_PATH_LIMIT, metavar="N")
-    common.add_argument("--seed", type=int, metavar="N")
+    rendered = ["paths", "lattice", "dot"]
 
     parser = argparse.ArgumentParser(prog="locgram", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    p_tag = sub.add_parser("tag", parents=[common], help="initial tagging of a text")
+    p_tag = sub.add_parser("tag", parents=[inputs], help="initial tagging of a text")
+    p_tag.add_argument("--format", choices=rendered, default="paths")
     p_tag.add_argument("text", nargs="?", default="")
-    p_apply = sub.add_parser("apply", parents=[common], help="filter a text's lattice")
+    p_apply = sub.add_parser("apply", parents=[filters], help="filter a text's lattice")
+    p_apply.add_argument(
+        "--sequential", action="store_true", help="apply grammars one after another"
+    )
+    p_apply.add_argument("--format", choices=rendered, default="lattice")
     p_apply.add_argument("text")
-    p_check = sub.add_parser("check", parents=[common], help="zero-silence corpus check")
+    p_check = sub.add_parser("check", parents=[grammars], help="zero-silence corpus check")
+    p_check.add_argument("--format", choices=["report"], help="a JSON report instead of lines")
     p_check.add_argument("corpus")
-    p_diff = sub.add_parser("diff-oracle", parents=[common], help="filter vs oracle verdict")
+    p_diff = sub.add_parser("diff-oracle", parents=[filters], help="filter vs oracle verdict")
+    p_diff.add_argument("--seed", type=int, metavar="N")
     p_diff.add_argument("text", nargs="?")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.limit < 1:
-        print(f"error: --limit must be positive, not {args.limit}", file=sys.stderr)
-        return 4
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed help (0) or a usage error (2)
+        return 4 if exc.code else 0
     try:
         out, code = COMMANDS[args.command](args)
         if out:
@@ -251,14 +259,7 @@ def main(argv: list[str] | None = None) -> int:
     except UnknownWordError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (
-        GrammarFormatError,
-        LexiconFormatError,
-        CorpusFormatError,
-        LatticeFormatError,
-        TagFormatError,
-        OSError,
-    ) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except EnumerationOverflow as exc:

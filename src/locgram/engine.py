@@ -38,8 +38,10 @@ once, and at most one lattice's tables outlive a call.  A cache on the
 lattice would keep tables for every grammar it meets, and make the work
 of a call depend on the calls before it.
 
-Every walk is iterative, over lattice states in topological order or path
-positions in order, so no sentence length meets Python's recursion limit.
+A path's verdict, its witness and a rejected path's silence span come
+from one forward walk over its positions, ``_walk``.  Every walk is
+iterative, over lattice states in topological order or path positions in
+order, so no sentence length meets Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -146,6 +148,17 @@ class _Tables:
     def own(self) -> EdgeMasks:
         return {q: tuple(map(and_, outs, self.inputs[q])) for q, outs in self.outputs.items()}
 
+    @cached_property
+    def place(self) -> dict:
+        """Each edge's index in ``edges_by_source[src]``, by ``(src, dst,
+        label.sort_key)``, whose hash, unlike an ``Edge``'s, is no Python
+        call.  Equal edges have equal masks: either index will do."""
+        return {
+            (e.src, e.dst, e.label.sort_key): i
+            for es in self.l.edges_by_source.values()
+            for i, e in enumerate(es)
+        }
+
 
 def _tables(l: Lattice, g: LocalGrammar) -> _Tables:
     """The last call's holder if it was for these very objects, else a new one."""
@@ -194,64 +207,53 @@ def matchable(l: Lattice, g: LocalGrammar) -> MatchableIndex:
     return _tables(l, g).index
 
 
-def _check_path(l: Lattice, p: Sequence[Edge], masks: EdgeMasks) -> tuple[tuple, list[int]]:
-    """Validate ``p`` as a path of ``l``; its edges, and each edge's entry
-    in ``masks``."""
-    edges = tuple(p)
-    if not edges:
-        if l.initial != l.final:
-            raise ValueError("empty sequence is not a path of this lattice")
-        return edges, []
-    if edges[0].src != l.initial or edges[-1].dst != l.final:
+def _walk(t: _Tables, p: Sequence[Edge], index: MatchableIndex, masks: EdgeMasks) -> tuple:
+    """The one forward walk over path ``p`` of ``t.l``: each edge's entry
+    in ``masks``, and ``via[j]``, the first ``(start, block)`` found to
+    end at position ``j`` when scanning reached positions from the left
+    (None while unreached).  Free portions start where ``index`` is false,
+    where no matched portion can; matched portions take the transitions
+    ``masks`` allows: checking the path's own tags against inputs, or any
+    same-span edge (the witness table), which realizes equivalence: same
+    text, same delimitation."""
+    place = t.place
+    q, ok, free = t.l.initial, [], []
+    for e in p:
+        i = place.get((e.src, e.dst, e.label.sort_key)) if e.src == q else None
+        if i is None:
+            raise ValueError(f"edge {e!r} does not continue a path of the lattice")
+        ok.append(masks[q][i])
+        free.append(not index[q])
+        q = e.dst
+    if q != t.l.final:
         raise ValueError("sequence does not join the initial state to the final state")
-    for a, b in zip(edges, edges[1:]):
-        if a.dst != b.src:
-            raise ValueError("sequence edges are not consecutive")
-    ok = []
-    for e in edges:
-        try:
-            ok.append(masks[e.src][l.edges_by_source[e.src].index(e)])
-        except (KeyError, ValueError):
-            raise ValueError(f"edge {e!r} does not belong to the lattice") from None
-    return edges, ok
+    via: list[tuple | None] = [()] + [None] * len(ok)
+    for i, is_free in enumerate(free):
+        if via[i] is None:
+            continue
+        for end, pairs in [(i + 1, ())] if is_free else _portion_walk(t.g, ok, i)[0]:
+            if via[end] is None:
+                via[end] = (i, FreeBlock(i) if is_free else MatchedBlock(i, end, pairs))
+    return ok, via
 
 
 def _decompose(
     t: _Tables, p: Sequence[Edge], index: MatchableIndex, masks: EdgeMasks
 ) -> Decomposition | None:
-    """Dynamic programming over path positions, from the last to the first.
-    Matched portions take the transitions ``masks`` allows over each edge:
-    checking the path's own tags against inputs, or any same-span edge of
-    the lattice (the witness table), which realizes equivalence: same
-    text, same delimitation.  Any valid partition suffices; from each
-    position a free portion is preferred, then the matched portion with
-    the nearest end."""
-    edges, ok = _check_path(t.l, p, masks)
-    m = len(edges)
-    # first[i]: the first block of a partition of positions i.., and the
-    # position after it; None while no partition is known
-    first: list[tuple | None] = [None] * m + [()]
-    for i in range(m - 1, -1, -1):
-        if not index[edges[i].src] and first[i + 1] is not None:
-            first[i] = (FreeBlock(i), i + 1)
-            continue
-        portions, _ = _portion_walk(t.g, ok, i)
-        first[i] = next(
-            ((MatchedBlock(i, end, pairs), end) for end, pairs in portions if first[end] is not None),
-            None,
-        )
-    if first[0] is None:
-        return None
-    blocks = []
-    i = 0
-    while i < m:
-        block, i = first[i]
+    """The witness ``_walk`` found, read backwards from the path's end."""
+    _, via = _walk(t, p, index, masks)
+    blocks, j = [], len(via) - 1
+    while j and via[j] is not None:
+        j, block = via[j]
         blocks.append(block)
-    return Decomposition(tuple(blocks))
+    return None if j else Decomposition(tuple(reversed(blocks)))
 
 
 def decompose(g: LocalGrammar, p: Path, l: Lattice) -> Decomposition | None:
-    """Witness partition under the general rule, or None when rejected."""
+    """Witness partition under the general rule, or None when rejected.
+    Any valid partition would do.  This one is read back from the path's
+    end: the block that ends at each position is the one with the leftmost
+    start that earlier blocks reach."""
     t = _tables(l, g)
     return _decompose(t, p, t.index, t.witness)
 
@@ -471,23 +473,8 @@ def _failure_span(t: _Tables, p: Path) -> tuple:
     """Diagnostic for a path the general rule rejects: the furthest
     position reachable by valid portions, extended over the longest
     portion attempt stuck there."""
-    edges, ok = _check_path(t.l, p, t.witness)
-    m = len(edges)
-    reach = {0}
-    worklist = [0]
-    while worklist:
-        i = worklist.pop()
-        if i >= m:
-            continue
-        portions, _ = _portion_walk(t.g, ok, i)
-        ends = [end for end, _ in portions]
-        if not t.index[edges[i].src]:
-            ends.append(i + 1)
-        for j in ends:
-            if j not in reach:
-                reach.add(j)
-                worklist.append(j)
-    stuck = max(reach)
+    ok, via = _walk(t, p, t.index, t.witness)
+    stuck = max(j for j, reached in enumerate(via) if reached is not None)
     _, touched = _portion_walk(t.g, ok, stuck)
     return (stuck, touched + 1)
 

@@ -1,11 +1,15 @@
 """Exception types shared across the package."""
 
 
-class TagFormatError(ValueError):
+class InputError(ValueError):
+    """Malformed input, the CLI's exit 4; each kind of input has its own subclass."""
+
+
+class TagFormatError(InputError):
     """Malformed tag notation."""
 
 
-class LexiconFormatError(ValueError):
+class LexiconFormatError(InputError):
     """Malformed lexicon or category-inventory line."""
 
 
@@ -17,15 +21,15 @@ class UnknownWordError(LookupError):
         super().__init__(f"unknown word {token.text!r} at position {token.position}")
 
 
-class LatticeFormatError(ValueError):
+class LatticeFormatError(InputError):
     """Invalid lattice structure or serialization."""
 
 
-class GrammarFormatError(ValueError):
+class GrammarFormatError(InputError):
     """Invalid grammar document or structure."""
 
 
-class CorpusFormatError(ValueError):
+class CorpusFormatError(InputError):
     """Malformed corpus file."""
 
 

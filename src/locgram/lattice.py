@@ -305,18 +305,24 @@ def from_json(text: str, categories: Iterable[str]) -> Lattice:
         states = list(doc["states"])
         initial = doc["initial"]
         final = doc["final"]
-        raw_edges = doc["edges"]
+        raw_edges = list(doc["edges"])
     except (KeyError, TypeError) as exc:
-        raise LatticeFormatError(f"missing lattice field: {exc}") from exc
+        raise LatticeFormatError(f"missing or malformed lattice field: {exc}") from exc
     edges = []
     for item in raw_edges:
-        tag_text = item["tag"]
-        surface = item["surface"]
+        if not isinstance(item, dict):
+            raise LatticeFormatError(f"edge is not an object: {item!r}")
+        src, dst, tag_text, surface = map(item.get, ("from", "to", "tag", "surface"))
+        if not (isinstance(tag_text, str) and isinstance(surface, str)):
+            raise LatticeFormatError(f"edge needs string tag and surface members: {item!r}")
         if tag_text.startswith("<"):
             label: EdgeLabel = parse_complete_tag(tag_text, categories, surface=surface)
         else:
             if tag_text != surface:
                 raise LatticeFormatError(f"separator edge with mismatched surface: {item!r}")
             label = Separator(tag_text)
-        edges.append((item["from"], item["to"], label))
+        edges.append((src, dst, label))
+    ids = [*states, initial, final, *(q for e in edges for q in e[:2])]
+    if not all(isinstance(q, (int, str)) for q in ids):
+        raise LatticeFormatError(f"state ids must be integers or strings: {ids!r}")
     return Lattice.build(initial, final, edges, extra_states=states)

@@ -327,6 +327,73 @@ class TestExitCodes:
         assert err.startswith("error: ")
 
 
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [("bogus",), (), ("apply", "--limit", "abc", "x")],
+        ids=["unknown-command", "no-command", "non-integer-limit"],
+    )
+    def test_usage_error_exits_4(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 4
+        assert out == ""
+        assert "error: " in err and "Traceback" not in err
+
+    def test_help_exits_0(self, capsys):
+        code, out, _ = run(capsys, "--help")
+        assert code == 0
+        assert "diff-oracle" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("tag", "--format", "report", "Ne lui dis pas"),
+            ("check", "--grammar", NE_VERB, "--format", "dot", fixtures.corpus_path()),
+            ("tag", "--grammar", NE_VERB, "Ne lui dis pas"),
+            ("check", "--grammar", NE_VERB, "--limit", "5", fixtures.corpus_path()),
+            ("apply", "--grammar", NE_VERB, "--seed", "1", "Ne lui dis pas"),
+        ],
+        ids=["tag-report", "check-dot", "tag-grammar", "check-limit", "apply-seed"],
+    )
+    def test_option_the_command_does_not_read_exits_4(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 4
+        assert out == ""
+        assert "error: " in err and "Traceback" not in err
+
+
+class TestEncoding:
+    def test_latin1_lexicon_exits_4(self, capsys, tmp_path):
+        lexicon = tmp_path / "latin1.dic"
+        lexicon.write_text("été,été.N:ms\n", encoding="latin-1")
+        code, out, err = run(capsys, "tag", "--lexicon", str(lexicon), "été")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: ") and "UTF-8" in err and "Traceback" not in err
+        assert len(err.splitlines()) == 1
+
+    def test_latin1_grammar_exits_4(self, capsys, tmp_path):
+        grammar = tmp_path / "latin1.json"
+        grammar.write_text(
+            json.dumps(
+                {
+                    "name": "é",
+                    "states": [0, 1],
+                    "initial": 0,
+                    "finals": [1],
+                    "transitions": [{"from": 0, "to": 1, "in": "ne", "out": "<XI>"}],
+                },
+                ensure_ascii=False,
+            ),
+            encoding="latin-1",
+        )
+        code, out, err = run(capsys, "apply", "--grammar", str(grammar), "Ne lui dis pas")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: ") and "UTF-8" in err and "Traceback" not in err
+        assert len(err.splitlines()) == 1
+
+
 class TestDiffOracle:
     def test_fixtures_equal(self, capsys):
         code, out, _ = run(capsys, "diff-oracle", "--grammar", CHAIN, CONFIRM_CHAIN)

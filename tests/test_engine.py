@@ -25,7 +25,7 @@ from locgram.errors import CorpusFormatError
 from locgram.grammar import load_grammar
 from locgram.lattice import enumerate_paths, language, language_equal, minimize, to_json, trim
 from locgram.randgen import random_instance
-from locgram.tags import parse_complete_tag
+from locgram.tags import conforms, parse_complete_tag
 from conftest import LONG_REPEATS, LONG_TEXT, SENTENCES
 
 CATS = ("V", "N", "A", "ADV", "PRO", "DET", "PREP", "CNJS", "CNJC", "XI", "INT")
@@ -153,6 +153,61 @@ class TestAccepts:
         p = find_path(l, TELL_HIM_GOOD)
         for g in grammars.values():
             assert accepts(g, p, trim(l)) == accepts(g, p, l)
+
+
+def _assert_valid_witness(g, p, l, d):
+    """``d`` is a valid partition of ``p``, checked with the reference
+    predicate ``conforms`` instead of the engine's mask tables."""
+    index = matchable(l, g)
+    pos = 0  # the blocks tile the path positions in order
+    for b in d.blocks:
+        if isinstance(b, FreeBlock):
+            assert b.position == pos and not index[p[pos].src]
+            pos += 1
+            continue
+        assert b.start == pos < b.end and len(b.pairs) == b.end - b.start
+        states = {g.initial}
+        for e, (inp, out) in zip(p[b.start:b.end], b.pairs):
+            states = {
+                t.dst for t in g.transitions
+                if t.src in states and (t.inp, t.out) == (inp, out)
+            }
+            assert conforms(e.label, out)
+            assert any(
+                f.dst == e.dst and conforms(f.label, inp) for f in l.edges_by_source[e.src]
+            )
+        assert states & set(g.finals)
+        pos = b.end
+    assert pos == len(p)
+
+
+class TestWitnessValidity:
+    def test_fixture_sentences(self, grammars, lattices):
+        members = list(grammars.values())
+        accepted = 0
+        for l in lattices.values():
+            paths = enumerate_paths(l).paths
+            for g in members + [union(members)]:
+                for p in paths:
+                    d = decompose(g, p, l)
+                    if d is not None:
+                        accepted += 1
+                        _assert_valid_witness(g, p, l, d)
+        assert accepted > 1000
+
+    @pytest.mark.parametrize("mode", ["general", "simple", "oii"])
+    def test_random_instances(self, mode):
+        rng = random.Random(20)
+        accepted = 0
+        for _ in range(150):
+            inst = random_instance(rng, mode=mode)
+            g, l = inst.grammar, inst.lattice
+            for p in enumerate_paths(l, 200).paths[:30]:
+                d = decompose(g, p, l)
+                if d is not None:
+                    accepted += 1
+                    _assert_valid_witness(g, p, l, d)
+        assert accepted > 300
 
 
 class TestSpecialCaseRules:

@@ -231,6 +231,21 @@ class TestJson:
         with pytest.raises(LatticeFormatError):
             from_json("{", categories)
 
+    @pytest.mark.parametrize(
+        "edge",
+        [
+            {"from": 0, "to": 1, "surface": "-"},
+            {"from": 0, "to": 1, "surface": "-", "tag": 5},
+            [0, 1, "-", "-"],
+            {"from": [0], "to": 1, "surface": "-", "tag": "-"},
+        ],
+        ids=["missing-tag", "non-string-tag", "edge-as-list", "list-endpoint"],
+    )
+    def test_malformed_edge_rejected(self, categories, edge):
+        doc = {"states": [0, 1], "initial": 0, "final": 1, "edges": [edge]}
+        with pytest.raises(LatticeFormatError):
+            from_json(json.dumps(doc), categories)
+
     def test_layout_matches_json_dumps(self, lattices):
         def reference(l):
             doc = {
