@@ -50,7 +50,6 @@ from .lattice import (
     language_equal,
     minimize,
     path_labels,
-    trim,
 )
 from .lexicon import (
     Lexicon,

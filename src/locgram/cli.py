@@ -101,11 +101,9 @@ def alternative_listing(tokens, lexicon: Lexicon) -> str:
 
 
 def _paths_listing(l, limit: int) -> str:
-    enum = lattice_mod.enumerate_paths(l, limit)
-    if enum.truncated:
-        raise EnumerationOverflow(f"more than {limit} paths")
     lines = sorted(
-        " ".join(label.notation() for label in lattice_mod.path_labels(p)) for p in enum.paths
+        " ".join(label.notation() for label in lattice_mod.path_labels(p))
+        for p in lattice_mod.all_paths(l, limit)
     )
     return "\n".join(lines)
 
@@ -172,8 +170,10 @@ def _oracle_agrees(g: grammar_mod.LocalGrammar, l, limit: int) -> bool:
 def cmd_diff_oracle(args: argparse.Namespace) -> tuple[str, int]:
     """Compare product filtering against the brute-force oracle, either on
     the given text with the configured grammars, or on randomized
-    instances when ``--seed`` is set."""
+    instances, which bring their own inputs, when ``--seed`` is set."""
     if args.seed is not None:
+        if args.grammars or (args.lexicon, args.categories, args.text) != (None, None, None):
+            raise InputError("--seed takes no --grammar, --lexicon, --categories or text")
         rng = random.Random(args.seed)
         trials = 50
         for trial in range(trials):

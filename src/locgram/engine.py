@@ -52,17 +52,9 @@ from functools import cached_property, reduce
 from operator import and_, itemgetter, or_
 from typing import Callable, Iterable, Sequence
 
-from .errors import CorpusFormatError, EnumerationOverflow, TagFormatError, UnknownWordError
+from .errors import CorpusFormatError, TagFormatError, UnknownWordError
 from .grammar import GrammarClass, LocalGrammar, classify
-from .lattice import (
-    DEFAULT_PATH_LIMIT,
-    Edge,
-    Lattice,
-    Path,
-    _live_edges,
-    enumerate_paths,
-    path_labels,
-)
+from .lattice import DEFAULT_PATH_LIMIT, Edge, Lattice, Path, all_paths, path_labels
 from .lexicon import Lexicon, build_initial_lattice, tokenize
 from .tags import EdgeLabel, Separator, parse_complete_tag
 
@@ -286,16 +278,15 @@ _FREE = None  # product mode marker for "between portions"
 
 
 def filter(g: LocalGrammar, l: Lattice) -> Lattice:
-    """Trim lattice whose paths are exactly the accepted paths of ``l``.
+    """Lattice whose paths are exactly the accepted paths of ``l``.
 
     Product of the lattice with the portion structure: states are
     (lattice state, mode) where mode is free or an in-portion transducer
     state; free moves need an unmatchable source state, portion moves
     follow the transducer checking outputs against the edge and inputs
-    against same-span edges of the original lattice.  Product edges that
-    lie on no start-to-goal path are dropped from the raw edge list, so the
-    result is trim as built: one ``Lattice.build``, no rebuild by ``trim``.
-    An empty result is permitted; callers can test ``is_empty_language``.
+    against same-span edges of the original lattice.  ``Lattice.build``
+    drops the product edges on no start-to-goal path.  An empty result is
+    permitted; callers can test ``is_empty_language``.
     """
     t = _tables(l, g)
     index, portion = t.index, t.witness
@@ -330,22 +321,17 @@ def filter(g: LocalGrammar, l: Lattice) -> Lattice:
                     states.append(target)
                 product_edges.append((src, dst, e.label))
     goal = number.get((l.final, _FREE), len(states))
-    return Lattice.build(0, goal, _live_edges(0, goal, product_edges))
+    return Lattice.build(0, goal, product_edges)
 
 
 def filter_oracle(g: LocalGrammar, l: Lattice, limit: int = DEFAULT_PATH_LIMIT) -> Lattice:
     """Brute-force reference: enumerate every path, keep the accepted ones,
     and rebuild a lattice as the trie union of the survivors."""
-    enum = enumerate_paths(l, limit)
-    if enum.truncated:
-        raise EnumerationOverflow(f"more than {limit} paths")
-    survivors = [path_labels(p) for p in enum.paths if decompose(g, p, l) is not None]
+    survivors = [path_labels(p) for p in all_paths(l, limit) if decompose(g, p, l) is not None]
     return _trie_lattice(survivors)
 
 
 def _trie_lattice(sequences: list[tuple]) -> Lattice:
-    if not sequences:
-        return Lattice.build(0, 1, [], extra_states=(0, 1))
     if sequences == [()]:
         return Lattice.build(0, 0, [])
     # Trie nodes are ints: the root 0, one shared leaf END, and each inner

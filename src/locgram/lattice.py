@@ -7,12 +7,13 @@ are the same symbol only when structurally equal, surface included.
 Ambiguity reduction may shrink the path set while the number of states
 and transitions grows or shrinks independently.
 
-Every lattice is made by ``Lattice.build``, which numbers the states in
-topological order and sorts the edges.  The apply pipeline (initial
-lattice, ``engine.filter``, ``minimize``) builds exactly one lattice per
-stage: ``filter`` and ``trim`` drop the edges on no initial-to-final path
-from their raw edge lists before building, and ``minimize`` follows only
-useful states instead of rebuilding its input trim.
+Every lattice is made by ``Lattice.build``, which keeps exactly the
+edges on some initial-to-final path, numbers the states in topological
+order and sorts the edges.  So every state of a lattice other than its
+initial and final states lies on a path, and what is computed over a
+lattice (the engine's matchable index, ``minimize``) sees only admitted
+taggings.  The apply pipeline (initial lattice, ``engine.filter``,
+``minimize``) builds exactly one lattice per stage.
 """
 
 from __future__ import annotations
@@ -58,16 +59,35 @@ class Lattice:
         initial: Hashable,
         final: Hashable,
         edges: Iterable[tuple[Hashable, Hashable, EdgeLabel]],
-        extra_states: Iterable[Hashable] = (),
     ) -> "Lattice":
-        """Construct from arbitrary hashable states, renumbering them in a
-        deterministic topological order.  Raises on cycles."""
+        """Construct from ``(src, dst, label)`` edges over arbitrary hashable
+        states, keeping the initial and final states and exactly the edges on
+        some initial-to-final path, renumbered in a deterministic topological
+        order.  A cycle through states on such paths raises
+        ``LatticeFormatError``; a dead cycle, on no such path, is dropped
+        like any other dead edge.
+
+        In an acyclic graph every edge is on such a path exactly when only
+        ``initial`` lacks an in-edge and only ``final`` an out-edge, so the
+        reachability passes run only when that fails or a cycle is found."""
         edges = list(edges)
+        heads, tails = set(map(itemgetter(0), edges)), set(map(itemgetter(1), edges))
+        if heads - tails <= {initial} and tails - heads <= {final}:
+            try:
+                return cls._numbered(initial, final, edges)
+            except LatticeFormatError:
+                pass  # a cycle, which may be dead
+        forward = _reachable((initial,), (e[:2] for e in edges))
+        backward = _co_reachable((final,), edges)
+        live = [e for e in edges if e[0] in forward and e[1] in backward]
+        return cls._numbered(initial, final, live)
+
+    @classmethod
+    def _numbered(cls, initial: Hashable, final: Hashable, edges: list[tuple]) -> "Lattice":
+        """``edges`` as they are, renumbered in Kahn's order over the states
+        in order of first appearance.  Raises on cycles."""
         ends = list(map(itemgetter(0, 1), edges))
-        # states in order of first appearance, then renumbered in Kahn's order
-        order = list(
-            dict.fromkeys(chain((initial,), chain.from_iterable(ends), (final,), extra_states))
-        )
+        order = list(dict.fromkeys(chain((initial,), chain.from_iterable(ends), (final,))))
         first = {s: i for i, s in enumerate(order)}
         successors: list[list[int]] = [[] for _ in order]
         for src, dst in ends:
@@ -87,8 +107,9 @@ class Lattice:
         return {q: tuple(es) for q, es in table.items()}
 
     def is_empty_language(self) -> bool:
-        """True when no path joins the initial to the final state."""
-        return self.final not in _reachable((self.initial,), (e[:2] for e in self.edges))
+        """True when no path joins the initial to the final state: every
+        edge lies on such a path, so exactly when there are none."""
+        return self.initial != self.final and not self.edges
 
 
 def _reachable(starts: Iterable[Hashable], arcs: Iterable[tuple[Hashable, Hashable]]) -> set:
@@ -110,14 +131,6 @@ def _co_reachable(finals: Iterable[Hashable], edges: Sequence[tuple]) -> set:
     """States from which one of ``finals`` is reachable over
     ``(src, dst, ...)`` edges."""
     return _reachable(finals, ((e[1], e[0]) for e in edges))
-
-
-def _live_edges(initial: Hashable, final: Hashable, edges: Sequence[tuple]) -> list:
-    """The ``(src, dst, label)`` edges on some initial-to-final path, in
-    their given order."""
-    forward = _reachable((initial,), (e[:2] for e in edges))
-    backward = _co_reachable((final,), edges)
-    return [e for e in edges if e[0] in forward and e[1] in backward]
 
 
 def path_labels(path: Sequence[Edge]) -> tuple[EdgeLabel, ...]:
@@ -150,22 +163,22 @@ def enumerate_paths(l: Lattice, limit: int = DEFAULT_PATH_LIMIT) -> PathEnumerat
     return PathEnumeration(tuple(paths), False)
 
 
-def language(l: Lattice, limit: int = DEFAULT_PATH_LIMIT) -> frozenset:
-    """The set of path label sequences.  Raises on enumeration overflow."""
+def all_paths(l: Lattice, limit: int = DEFAULT_PATH_LIMIT) -> tuple[Path, ...]:
+    """Every initial-to-final path, in ``enumerate_paths`` order.  Raises
+    ``EnumerationOverflow`` when there are more than ``limit``."""
     enum = enumerate_paths(l, limit)
     if enum.truncated:
         raise EnumerationOverflow(f"more than {limit} paths")
-    return frozenset(path_labels(p) for p in enum.paths)
+    return enum.paths
+
+
+def language(l: Lattice, limit: int = DEFAULT_PATH_LIMIT) -> frozenset:
+    """The set of path label sequences.  Raises on enumeration overflow."""
+    return frozenset(map(path_labels, all_paths(l, limit)))
 
 
 def language_equal(a: Lattice, b: Lattice, limit: int = DEFAULT_PATH_LIMIT) -> bool:
     return language(a, limit) == language(b, limit)
-
-
-def trim(l: Lattice) -> Lattice:
-    """Drop states and edges on no accepting path; the language is
-    unchanged.  The initial and final states are always retained."""
-    return Lattice.build(l.initial, l.final, _live_edges(l.initial, l.final, l.edges))
 
 
 def minimize(l: Lattice) -> Lattice:
@@ -173,17 +186,16 @@ def minimize(l: Lattice) -> Lattice:
     sequence set: subset construction, then merging of states with equal
     right languages.
 
-    The subset construction follows only edges into useful states (states
-    from which the final state is reachable), so ``l`` need not be trim and
-    is never rebuilt: the result is the one lattice built.
+    Every state of ``l`` reaches the final state, so the result, the one
+    lattice built, needs no pass of its own to drop dead states, and a
+    lattice with an empty language is its own minimal form.
 
     Lattices anchored on token boundaries have prefix-free path label sets;
     for other inputs whose minimal automaton would need a final state with
     outgoing edges, this raises rather than silently changing the language.
     """
-    useful = _co_reachable((l.final,), l.edges)
-    if l.initial not in useful:
-        return Lattice.build(0, 1, [], extra_states=(0, 1))
+    if l.is_empty_language():
+        return l
 
     # Subset construction; subsets are numbered in discovery order, and
     # ``subsets`` is also the breadth-first worklist, extended as it is walked.
@@ -194,8 +206,7 @@ def minimize(l: Lattice) -> Lattice:
         moves: dict[tuple, tuple[EdgeLabel, set[int]]] = {}
         for q in subset:
             for e in l.edges_by_source[q]:
-                if e.dst in useful:
-                    moves.setdefault(e.label.sort_key, (e.label, set()))[1].add(e.dst)
+                moves.setdefault(e.label.sort_key, (e.label, set()))[1].add(e.dst)
         out = []
         for key in sorted(moves):
             label, targets = moves[key]
@@ -297,6 +308,7 @@ def to_json(l: Lattice) -> str:
 
 
 def from_json(text: str, categories: Iterable[str]) -> Lattice:
+    """Read a ``to_json`` document; ``Lattice.build`` drops what is on no path."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -325,4 +337,4 @@ def from_json(text: str, categories: Iterable[str]) -> Lattice:
     ids = [*states, initial, final, *(q for e in edges for q in e[:2])]
     if not all(isinstance(q, (int, str)) for q in ids):
         raise LatticeFormatError(f"state ids must be integers or strings: {ids!r}")
-    return Lattice.build(initial, final, edges, extra_states=states)
+    return Lattice.build(initial, final, edges)

@@ -219,4 +219,4 @@ def build_initial_lattice(tokens: list[Token], lexicon: Lexicon) -> Lattice:
                 tags = compound_tags[entry] = expand_entry(entry)
             k = len(entry.surface_tokens)
             edges.extend((i, i + k, tag) for tag in tags)
-    return Lattice.build(initial=0, final=n, edges=edges, extra_states=range(n + 1))
+    return Lattice.build(initial=0, final=n, edges=edges)

@@ -37,6 +37,20 @@ CYCLIC_GRAMMAR = {
 }
 
 
+def assert_live(l):
+    """Every edge of ``l`` lies on an initial-to-final path, and every
+    state but the initial and final ones is the end of an edge."""
+    reached, reaching = {l.initial}, {l.final}
+    for e in l.edges:  # by source, and sources are numbered before targets
+        if e.src in reached:
+            reached.add(e.dst)
+    for e in reversed(l.edges):
+        if e.dst in reaching:
+            reaching.add(e.src)
+    assert all(e.src in reached and e.dst in reaching for e in l.edges)
+    assert {l.initial, l.final, *(q for e in l.edges for q in e[:2])} == set(range(l.n_states))
+
+
 @pytest.fixture(scope="session")
 def categories():
     return fixtures.core_categories()

@@ -417,6 +417,27 @@ class TestDiffOracle:
         code, _, _ = run(capsys, "diff-oracle")
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "inputs",
+        [
+            ("--grammar", "/nonexistent.json", "--lexicon", "/nonexistent.dic", "bogus text"),
+            ("--grammar", NE_VERB),
+            ("--lexicon", fixtures.lexicon_path()),
+            ("--categories", fixtures.categories_path()),
+            ("Ne lui dis pas",),
+            ("",),
+        ],
+        ids=["all", "grammar", "lexicon", "categories", "text", "empty-text"],
+    )
+    def test_seed_takes_no_inputs(self, capsys, inputs):
+        code, out, err = run(capsys, "diff-oracle", "--seed", "7", *inputs)
+        assert (code, out) == (4, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_seed_takes_limit(self, capsys):
+        code, out, _ = run(capsys, "diff-oracle", "--seed", "7", "--limit", "2000")
+        assert (code, out.strip()) == (0, "EQUAL (50 randomized instances, seed=7)")
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from locgram.errors import EnumerationOverflow, LatticeFormatError
 from locgram.lattice import (
@@ -13,9 +14,9 @@ from locgram.lattice import (
     path_labels,
     to_dot,
     to_json,
-    trim,
 )
 from locgram.tags import Category, CompleteTag, Separator, parse_complete_tag
+from conftest import assert_live
 
 CATS = ("V", "N", "A", "ADV", "PRO", "DET", "PREP", "CNJS", "CNJC", "XI", "INT")
 
@@ -84,23 +85,78 @@ class TestEnumeratePaths:
         )
 
 
+def _raw_language(initial, final, edges):
+    """The label sequences of the initial-to-final walks over raw
+    ``(src, dst, label)`` edges, depth first; a walk never revisits a
+    state, which only a cycle through live states would need."""
+    found = set()
+    stack = [(initial, (), {initial})]
+    while stack:
+        q, labels, seen = stack.pop()
+        if q == final:
+            found.add(labels)
+        for src, dst, label in edges:
+            if src == q and dst not in seen:
+                stack.append((dst, labels + (label,), seen | {dst}))
+    return found
+
+
+@st.composite
+def raw_edge_lists(draw):
+    """``(initial, final, edges)``: forward edges over states 0..n-1, which
+    leave states off every path and edges out of the final state, and
+    maybe a dead cycle that has only in-edges, only out-edges, or neither."""
+    n = draw(st.integers(1, 6))
+    final = draw(st.integers(0, n - 1))
+    states, labels = st.integers(0, n - 1), st.sampled_from([A, B, C, D])
+    raw = draw(st.lists(st.tuples(states, states, labels), max_size=12))
+    edges = [(a, b, label) for a, b, label in raw if a < b]
+    cycle = [("c", 0), ("c", 1)]
+    attach = draw(st.sampled_from(["no cycle", "in", "out", "none"]))
+    if attach != "no cycle":
+        edges += [(cycle[0], cycle[1], draw(labels)), (cycle[1], cycle[0], draw(labels))]
+    if attach == "in":
+        edges.append((draw(states), cycle[0], draw(labels)))
+    elif attach == "out":
+        edges.append((cycle[1], draw(states), draw(labels)))
+    return 0, final, draw(st.permutations(edges))
+
+
 class TestTrim:
     def test_trim_is_identity_on_initial_lattices(self, lattices):
         for l in lattices.values():
-            assert trim(l) == l
+            assert Lattice.build(l.initial, l.final, l.edges) == l
 
     def test_dead_branch_removed(self):
         l = Lattice.build(0, 2, [(0, 1, A), (1, 2, B), (0, 3, C)])
-        trimmed = trim(l)
-        assert language_equal(trimmed, l)
-        assert trimmed.n_states == 3
-        assert len(trimmed.edges) == 2
+        assert l == Lattice.build(0, 2, [(0, 1, A), (1, 2, B)])
+        assert l.n_states == 3
+        assert len(l.edges) == 2
 
     def test_empty_language_reduces_to_edgeless(self):
         l = Lattice.build(0, 2, [(0, 1, A)])
-        trimmed = trim(l)
-        assert trimmed.is_empty_language()
-        assert trimmed.edges == ()
+        assert l.is_empty_language()
+        assert (l.n_states, l.edges) == (2, ())
+
+    @pytest.mark.parametrize(
+        "cycle",
+        [[(3, 4, C), (4, 3, D)], [(1, 3, C), (3, 4, D), (4, 3, D)], [(3, 4, C), (4, 3, D), (3, 1, C)]],
+        ids=["isolated", "reached", "reaching"],
+    )
+    def test_dead_cycle_dropped(self, cycle):
+        live = [(0, 1, A), (1, 2, B)]
+        assert Lattice.build(0, 2, live + cycle) == Lattice.build(0, 2, live)
+
+    def test_live_cycle_rejected(self):
+        with pytest.raises(LatticeFormatError):
+            Lattice.build(0, 2, [(0, 1, A), (1, 2, B), (1, 3, C), (3, 1, D)])
+
+    @given(raw_edge_lists())
+    def test_every_state_on_a_path(self, raw):
+        initial, final, edges = raw
+        l = Lattice.build(initial, final, edges)
+        assert_live(l)
+        assert set(language(l)) == _raw_language(initial, final, edges)
 
 
 class TestMinimize:
@@ -138,15 +194,11 @@ class TestMinimize:
     def test_dead_branches_are_not_followed(self):
         # dead ends: a second A-edge out of the initial state, a C-edge
         # to a state that never reaches the final one, and an edge out of
-        # the final state itself; minimize follows none of them and gives
-        # what it gives on the trim lattice
-        l = Lattice.build(
-            0,
-            2,
-            [(0, 1, A), (1, 2, B), (0, 3, A), (0, 4, C), (3, 5, D), (2, 6, D)],
-        )
-        assert trim(l) != l
-        assert minimize(l) == minimize(trim(l))
+        # the final state itself; the lattice built holds none of them, so
+        # minimize gives what it gives on the live edges alone
+        live = [(0, 1, A), (1, 2, B)]
+        l = Lattice.build(0, 2, live + [(0, 3, A), (0, 4, C), (3, 5, D), (2, 6, D)])
+        assert l == Lattice.build(0, 2, live)
         assert language_equal(minimize(l), l)
 
     def test_non_prefix_free_language_rejected(self):
@@ -170,11 +222,10 @@ class TestMinimize:
 
 class TestBuildCount:
     def test_minimize_builds_only_its_result(self, lattices, build_calls):
-        trimmed = [trim(l) for l in lattices.values()]
         build_calls.clear()
-        for l in trimmed:
+        for l in lattices.values():
             minimize(l)
-        assert len(build_calls) == len(trimmed)
+        assert len(build_calls) == len(lattices)
 
 
 class TestLanguageEqual:
@@ -227,6 +278,15 @@ class TestJson:
         with pytest.raises(LatticeFormatError):
             from_json(bad, categories)
 
+    def test_dead_branch_and_isolated_state_dropped(self, categories):
+        def doc(states, edges):
+            edges = [{"from": a, "to": b, "surface": "-", "tag": "-"} for a, b in edges]
+            return json.dumps({"states": states, "initial": 0, "final": 2, "edges": edges})
+
+        live = from_json(doc([0, 1, 2], [(0, 1), (1, 2)]), categories)
+        assert from_json(doc([0, 1, 2, 3, 9], [(0, 1), (1, 2), (0, 3)]), categories) == live
+        assert live.n_states == 3
+
     def test_invalid_json_rejected(self, categories):
         with pytest.raises(LatticeFormatError):
             from_json("{", categories)
@@ -269,7 +329,7 @@ class TestJson:
         cases = [
             *lattices.values(),
             Lattice.build(0, 0, []),
-            Lattice.build(0, 1, [], extra_states=(0, 1)),
+            Lattice.build(0, 1, []),
             Lattice.build(0, 2, [(0, 1, lab) for lab in awkward] + [(1, 2, Separator("’"))]),
         ]
         for l in cases:
