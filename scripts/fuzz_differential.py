@@ -3,7 +3,9 @@
 agree with the brute-force enumeration oracle on every instance, and the
 general rule's verdict on each of the first paths of an instance must agree
 with membership in the filtered language (``--mode general``) or with the
-restricted rule whose precondition holds (``simple``, ``oii``)."""
+restricted rule whose precondition holds (``simple``, ``oii``).  In
+``general`` mode, ``language_equal`` must also agree with the enumerated
+languages on filter against oracle and filter against input."""
 
 import argparse
 import random
@@ -16,7 +18,7 @@ from locgram.engine import (
     filter as filter_lattice,
     filter_oracle,
 )
-from locgram.lattice import enumerate_paths, language, path_labels
+from locgram.lattice import enumerate_paths, language, language_equal, path_labels
 from locgram.randgen import random_instance
 
 
@@ -34,9 +36,14 @@ def main():
         g, l = inst.grammar, inst.lattice
         paths = enumerate_paths(l, 200).paths[: args.paths_per_instance]
         if args.mode == "general":
-            accepted = language(filter_lattice(g, l))
-            if accepted != language(filter_oracle(g, l)):
+            f, o = filter_lattice(g, l), filter_oracle(g, l)
+            accepted, full = language(f), language(l)
+            if accepted != language(o):
                 print(f"MISMATCH seed={args.seed} trial={trial} text={inst.text!r}")
+                print(f"grammar: {g}")
+                return 1
+            if not language_equal(f, o) or language_equal(f, l) != (accepted == full):
+                print(f"LANGUAGE_EQUAL seed={args.seed} trial={trial} text={inst.text!r}")
                 print(f"grammar: {g}")
                 return 1
             expected = [path_labels(p) in accepted for p in paths]

@@ -5,7 +5,7 @@ tagging, per-grammar verdicts, combination effects, and filtering."""
 from locgram import accepts, build_initial_lattice, classify, fixtures, tokenize, union
 from locgram.cli import alternative_listing
 from locgram.engine import filter as filter_lattice, parse_tag_sequence, resolve_tag_sequence
-from locgram.lattice import enumerate_paths
+from locgram.lattice import enumerate_paths, minimize
 
 
 def lattice_for(text, lexicon):
@@ -79,7 +79,7 @@ def main():
     l = lattice_for(text, lexicon)
     filtered = filter_lattice(grammars["de-ce-que-chain"], l)
     before = len(enumerate_paths(l).paths)
-    after = len({tuple(e.label for e in p) for p in enumerate_paths(filtered).paths})
+    after = len(enumerate_paths(minimize(filtered)).paths)
     print(f"  {text}")
     print(f"  taggings before: {before}, after: {after}")
 

@@ -103,13 +103,13 @@ def alternative_listing(tokens, lexicon: Lexicon) -> str:
 def _paths_listing(l, limit: int) -> str:
     lines = sorted(
         " ".join(label.notation() for label in lattice_mod.path_labels(p))
-        for p in lattice_mod.all_paths(l, limit)
+        for p in lattice_mod.all_paths(lattice_mod.minimize(l), limit)
     )
     return "\n".join(lines)
 
 
 def _render_lattice(l, args: argparse.Namespace) -> str:
-    """``l`` in ``args.format``; only ``paths`` reads ``args.limit``."""
+    """``l`` in ``args.format``; ``paths`` lists at most ``args.limit`` distinct taggings."""
     if args.format == "paths":
         return _paths_listing(l, args.limit)
     return (lattice_mod.to_dot if args.format == "dot" else lattice_mod.to_json)(l).rstrip("\n")
@@ -164,7 +164,7 @@ def cmd_check(args: argparse.Namespace) -> tuple[str, int]:
 
 def _oracle_agrees(g: grammar_mod.LocalGrammar, l, limit: int) -> bool:
     """Product filtering and the brute-force oracle give the same language."""
-    return lattice_mod.language_equal(engine.filter(g, l), engine.filter_oracle(g, l, limit), limit)
+    return lattice_mod.language_equal(engine.filter(g, l), engine.filter_oracle(g, l, limit))
 
 
 def cmd_diff_oracle(args: argparse.Namespace) -> tuple[str, int]:

@@ -173,12 +173,16 @@ def all_paths(l: Lattice, limit: int = DEFAULT_PATH_LIMIT) -> tuple[Path, ...]:
 
 
 def language(l: Lattice, limit: int = DEFAULT_PATH_LIMIT) -> frozenset:
-    """The set of path label sequences.  Raises on enumeration overflow."""
+    """The set of path label sequences, by enumeration: the reference that
+    ``language_equal`` is tested against.  Raises on enumeration overflow."""
     return frozenset(map(path_labels, all_paths(l, limit)))
 
 
-def language_equal(a: Lattice, b: Lattice, limit: int = DEFAULT_PATH_LIMIT) -> bool:
-    return language(a, limit) == language(b, limit)
+def language_equal(a: Lattice, b: Lattice) -> bool:
+    """Equal path label sequence sets, decided on the canonical minimal
+    forms (see ``minimize``) without enumerating.  Raises
+    ``LatticeFormatError`` where ``minimize`` does."""
+    return minimize(a) == minimize(b)
 
 
 def minimize(l: Lattice) -> Lattice:
@@ -193,6 +197,12 @@ def minimize(l: Lattice) -> Lattice:
     Lattices anchored on token boundaries have prefix-free path label sets;
     for other inputs whose minimal automaton would need a final state with
     outgoing edges, this raises rather than silently changing the language.
+
+    The result is canonical: lattices with the same language give equal
+    results.  The minimal acyclic DFA is unique (Revuz 1992), and its
+    numbering is fixed: subsets are found breadth-first in label order, so
+    each class first appears at its shortlex-least word; edges are emitted
+    per class in that order; ``Lattice.build`` numbers from that alone.
     """
     if l.is_empty_language():
         return l

@@ -51,6 +51,24 @@ def assert_live(l):
     assert {l.initial, l.final, *(q for e in l.edges for q in e[:2])} == set(range(l.n_states))
 
 
+def renamed(l):
+    """``l`` rebuilt over other state names, its edges in reverse order."""
+    name = {q: f"q{l.n_states - q}" for q in range(l.n_states)}
+    edges = [(name[e.src], name[e.dst], e.label) for e in reversed(l.edges)]
+    return Lattice.build(name[l.initial], name[l.final], edges)
+
+
+def union_lattice(a, b):
+    """A lattice whose language is the union of ``a``'s and ``b``'s: the
+    two side by side, with shared initial and final states."""
+    edges = []
+    for side, l in (("a", a), ("b", b)):
+        ends = {l.initial: "initial", l.final: "final"}
+        name = {q: ends.get(q, (side, q)) for q in range(l.n_states)}
+        edges += [(name[e.src], name[e.dst], e.label) for e in l.edges]
+    return Lattice.build("initial", "final", edges)
+
+
 @pytest.fixture(scope="session")
 def categories():
     return fixtures.core_categories()

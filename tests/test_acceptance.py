@@ -206,7 +206,7 @@ def test_criterion_7_soundness_and_silence(grammars, lattices, capsys):
 def test_criterion_8_automaton_hygiene(grammars, lattices, capsys):
     for key, l in lattices.items():
         m = minimize(l)
-        assert language_equal(m, l), key
+        assert language(m) == language(l), key
         again = minimize(m)
         assert (again.n_states, len(again.edges)) == (m.n_states, len(m.edges)), key
         assert to_dot(l) == to_dot(l)
@@ -216,7 +216,7 @@ def test_criterion_8_automaton_hygiene(grammars, lattices, capsys):
         assert grammar_dot(g) == grammar_dot(g)
     filtered = filter_lattice(grammars["de-ce-que-chain"], lattices["confirm-chain"])
     m = minimize(filtered)
-    assert language_equal(m, filtered)
+    assert language(m) == language(filtered)
     assert (minimize(m).n_states, len(minimize(m).edges)) == (m.n_states, len(m.edges))
     with capsys.disabled():
         report(8, "minimize preserves language and is idempotent; DOT deterministic")

@@ -140,6 +140,19 @@ class TestApply:
         assert code == 0
         assert len(out.strip().splitlines()) == 12
 
+    @pytest.mark.parametrize("limit", [[], ["--limit", "2"]], ids=["default-limit", "limit-2"])
+    def test_paths_lists_each_tagging_once(self, capsys, tmp_path, limit):
+        # overlapping lexicon lines give two parallel edges with one label;
+        # the listing and its limit count distinct taggings, not paths
+        lexicon = tmp_path / "overlap.dic"
+        lexicon.write_text("vient,venir.V:P3s\nvient,venir.V:P3s:W\n", encoding="utf-8")
+        code, out, err = run(
+            capsys, "apply", "--lexicon", str(lexicon), "--grammar", NE_VERB,
+            "--format", "paths", *limit, "vient",
+        )
+        assert (code, err) == (0, "")
+        assert out == "<venir V:P3s>\n<venir V:W>\n"
+
     def test_default_format_is_lattice_json(self, capsys):
         code, out, _ = run(capsys, "apply", "--grammar", NE_VERB, "Ne lui dis pas")
         assert code == 0

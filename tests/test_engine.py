@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from locgram import build_initial_lattice, tokenize, union
+from locgram import build_initial_lattice, fixtures, tokenize, union
 from locgram.engine import (
     CorpusItem,
     FreeBlock,
@@ -23,10 +23,18 @@ from locgram.engine import (
 )
 from locgram.errors import CorpusFormatError
 from locgram.grammar import load_grammar
-from locgram.lattice import Lattice, enumerate_paths, language, language_equal, minimize, to_json
+from locgram.lattice import (
+    Lattice,
+    enumerate_paths,
+    language,
+    language_equal,
+    minimize,
+    path_labels,
+    to_json,
+)
 from locgram.randgen import random_instance
 from locgram.tags import conforms, parse_complete_tag
-from conftest import LONG_REPEATS, LONG_TEXT, SENTENCES, assert_live
+from conftest import LONG_REPEATS, LONG_TEXT, SENTENCES, assert_live, renamed, union_lattice
 
 CATS = ("V", "N", "A", "ADV", "PRO", "DET", "PREP", "CNJS", "CNJC", "XI", "INT")
 
@@ -573,3 +581,107 @@ class TestLongSentence:
         assert report.violations == () and report.corpus_errors == ()
         report = silence_check(grammars["ne-verb"], corpus, lexicon)
         assert report.lines() == ["SILENCE s1 0-2 ne-verb"]
+
+
+# The seven fixture sentences, ten times over: 640 tokens and far too
+# many paths to enumerate
+SCALE_TEXT = " ".join([text[0].lower() + text[1:] for text in SENTENCES.values()] * 10)
+SCALE_CASES = [
+    *(("sentences", name) for name in (*fixtures.GRAMMAR_FILES, "union")),
+    ("long", "ne-verb"),
+    ("long", "union"),
+]
+
+
+def _random_path(rng, l):
+    """A path of ``l`` taking a random edge out of each state it meets."""
+    path, q = [], l.initial
+    while q != l.final:
+        path.append(rng.choice(l.edges_by_source[q]))
+        q = path[-1].dst
+    return tuple(path)
+
+
+def _path_with_labels(l, labels):
+    """A path of ``l`` that carries ``labels``, which must be in its
+    language: the states each label prefix reaches, each with one edge
+    into it, are read back from the final state."""
+    layers = [{l.initial: None}]
+    for label in labels:
+        layers.append({})
+        for q in layers[-2]:
+            for e in l.edges_by_source[q]:
+                if e.label == label:
+                    layers[-1].setdefault(e.dst, e)
+    path, q = [], l.final
+    for layer in reversed(layers[1:]):
+        path.append(layer[q])
+        q = path[-1].src
+    return tuple(reversed(path))
+
+
+def _member(m, labels):
+    """Whether the deterministic lattice ``m`` has a path carrying ``labels``."""
+    q = m.initial
+    for label in labels:
+        q = next((e.dst for e in m.edges_by_source[q] if e.label == label), None)
+        if q is None:
+            return False
+    return q == m.final
+
+
+@pytest.fixture(scope="module")
+def at_scale(lexicon, grammars, long_lattice):
+    """``(grammar, lattice, filtered lattice)`` for a case of ``SCALE_CASES``,
+    each filtered once."""
+    lattices = {
+        "sentences": build_initial_lattice(tokenize(SCALE_TEXT), lexicon),
+        "long": long_lattice,
+    }
+    named = {**grammars, "union": union(list(grammars.values()))}
+    filtered = {}
+
+    def case(key, name):
+        if (key, name) not in filtered:
+            g, l = named[name], lattices[key]
+            filtered[key, name] = (g, l, filter_lattice(g, l))
+        return filtered[key, name]
+
+    return case
+
+
+@pytest.mark.usefixtures("default_recursion_limit")
+class TestAtScale:
+    """Differential checks on lattices whose paths are far too many to
+    enumerate; every comparison is by minimal form."""
+
+    @pytest.mark.parametrize("case", SCALE_CASES, ids="/".join)
+    def test_filter_equals_its_rebuild(self, at_scale, case):
+        _, _, f = at_scale(*case)
+        assert language_equal(f, renamed(f))
+
+    @pytest.mark.parametrize("case", SCALE_CASES, ids="/".join)
+    def test_filter_is_within_its_input(self, at_scale, case):
+        # the union of the two has the input's language exactly when the
+        # filtered language is a subset; and the union differs from the
+        # filtered language exactly when the filter removed something
+        _, l, f = at_scale(*case)
+        both = union_lattice(f, l)
+        assert language_equal(both, l)
+        assert language_equal(both, f) == language_equal(f, l)
+
+    @pytest.mark.parametrize(
+        "case", [c for c in SCALE_CASES if c != ("long", "union")], ids="/".join
+    )
+    def test_accepts_agrees_with_filtered_membership(self, at_scale, case):
+        # paths drawn from the input are nearly all rejected, paths drawn
+        # from the filtered lattice are all accepted; the union keeps every
+        # path of ``LONG_TEXT``, so only one verdict could occur there
+        g, l, f = at_scale(*case)
+        m = minimize(f)
+        rng = random.Random(0)
+        paths = [_random_path(rng, l) for _ in range(4)]
+        paths += [_path_with_labels(l, path_labels(_random_path(rng, f))) for _ in range(4)]
+        verdicts = [accepts(g, p, l) for p in paths]
+        assert verdicts == [_member(m, path_labels(p)) for p in paths]
+        assert set(verdicts) == {True, False}

@@ -1,11 +1,14 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from locgram.engine import _trie_lattice, filter as filter_lattice, filter_oracle
 from locgram.errors import EnumerationOverflow, LatticeFormatError
 from locgram.lattice import (
     Lattice,
+    all_paths,
     enumerate_paths,
     from_json,
     language,
@@ -15,8 +18,9 @@ from locgram.lattice import (
     to_dot,
     to_json,
 )
+from locgram.randgen import random_instance
 from locgram.tags import Category, CompleteTag, Separator, parse_complete_tag
-from conftest import assert_live
+from conftest import assert_live, renamed, union_lattice
 
 CATS = ("V", "N", "A", "ADV", "PRO", "DET", "PREP", "CNJS", "CNJC", "XI", "INT")
 
@@ -171,19 +175,19 @@ class TestMinimize:
             [(0, 1, A), (0, 2, B), (1, 3, C), (2, 3, C)],
         )
         m = minimize(l)
-        assert language_equal(m, l)
+        assert language(m) == language(l)
         assert m.n_states < l.n_states
 
     def test_removes_duplicate_paths(self):
         l = Lattice.build(0, 2, [(0, 1, A), (0, 1, A), (1, 2, B)])
         m = minimize(l)
-        assert language_equal(m, l)
+        assert language(m) == language(l)
         enum = enumerate_paths(m)
         assert len(enum.paths) == 1
 
     def test_language_preserved_on_fixtures(self, lattices):
         for key, l in lattices.items():
-            assert language_equal(minimize(l), l), key
+            assert language(minimize(l)) == language(l), key
 
     def test_idempotent_on_fixtures(self, lattices):
         for key, l in lattices.items():
@@ -199,7 +203,7 @@ class TestMinimize:
         live = [(0, 1, A), (1, 2, B)]
         l = Lattice.build(0, 2, live + [(0, 3, A), (0, 4, C), (3, 5, D), (2, 6, D)])
         assert l == Lattice.build(0, 2, live)
-        assert language_equal(minimize(l), l)
+        assert language(minimize(l)) == language(l)
 
     def test_non_prefix_free_language_rejected(self):
         # a valid single-final acyclic lattice can still encode one label
@@ -212,12 +216,10 @@ class TestMinimize:
     def test_state_count_can_shrink_or_grow(self, lattices, grammars):
         # filtering changes the automaton size in either direction while
         # only ever shrinking the path set; minimize keeps the language
-        from locgram.engine import filter as filter_lattice
-
         l = lattices["confirm-chain"]
         filtered = filter_lattice(grammars["de-ce-que-chain"], l)
         m = minimize(filtered)
-        assert language_equal(m, filtered)
+        assert language(m) == language(filtered)
 
 
 class TestBuildCount:
@@ -229,13 +231,51 @@ class TestBuildCount:
 
 
 class TestLanguageEqual:
+    @pytest.mark.parametrize("mode", ["general", "simple", "oii"])
+    def test_agrees_with_enumeration_on_random_instances(self, mode):
+        # per draw: filter against oracle, against its input and against
+        # its own minimal form, oracle against input, and input against
+        # the next draw's input
+        rng = random.Random(0)
+        draws = [random_instance(rng, mode=mode) for _ in range(101)]
+        verdicts = []
+        for inst, following in zip(draws, draws[1:]):
+            g, l = inst.grammar, inst.lattice
+            f, o = filter_lattice(g, l), filter_oracle(g, l)
+            for a, b in [(f, o), (f, l), (f, minimize(f)), (o, l), (l, following.lattice)]:
+                verdict = language_equal(a, b)
+                assert verdict == (language(a) == language(b)), (mode, inst.text, g.name)
+                verdicts.append(verdict)
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_minimal_form_is_canonical(self, lattices, grammars):
+        # the minimal form does not depend on state names, edge order,
+        # duplicate edges or how the automaton was built, deterministic
+        # or not
+        filtered = filter_lattice(grammars["de-ce-que-chain"], lattices["confirm-chain"])
+        for l in [*lattices.values(), filtered]:
+            expected = to_json(minimize(l))
+            rebuilds = [
+                renamed(l),
+                Lattice.build(l.initial, l.final, l.edges + l.edges),
+                _trie_lattice([path_labels(p) for p in reversed(all_paths(l))]),
+                union_lattice(l, renamed(l)),
+            ]
+            for rebuilt in rebuilds:
+                assert to_json(minimize(rebuilt)) == expected
+
+    def test_non_prefix_free_language_rejected(self):
+        l = Lattice.build(0, 3, [(0, 1, A), (0, 3, A), (1, 3, B)])
+        with pytest.raises(LatticeFormatError):
+            language_equal(l, l)
+
     def test_reflexive(self, lattices):
         l = lattices["railway"]
         assert language_equal(l, l)
 
     def test_equal_to_minimized(self, lattices):
         l = lattices["moment"]
-        assert language_equal(l, minimize(l))
+        assert language(l) == language(minimize(l))
 
     def test_detects_missing_compound_branch(self, lattices):
         l = lattices["railway"]
