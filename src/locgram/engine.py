@@ -54,7 +54,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import CorpusFormatError, TagFormatError, UnknownWordError
 from .grammar import GrammarClass, LocalGrammar, classify
-from .lattice import DEFAULT_PATH_LIMIT, Edge, Lattice, Path, all_paths, path_labels
+from .lattice import DEFAULT_PATH_LIMIT, Edge, Lattice, Path, _co_reachable, all_paths, path_labels
 from .lexicon import Lexicon, build_initial_lattice, tokenize
 from .tags import EdgeLabel, Separator, parse_complete_tag
 
@@ -284,9 +284,11 @@ def filter(g: LocalGrammar, l: Lattice) -> Lattice:
     (lattice state, mode) where mode is free or an in-portion transducer
     state; free moves need an unmatchable source state, portion moves
     follow the transducer checking outputs against the edge and inputs
-    against same-span edges of the original lattice.  ``Lattice.build``
-    drops the product edges on no start-to-goal path.  An empty result is
-    permitted; callers can test ``is_empty_language``.
+    against same-span edges of the original lattice.  One backward pass
+    from the goal drops the product edges on no start-to-goal path, in
+    their order, so the result is numbered as if ``Lattice.build`` had
+    dropped them.  An empty result is permitted; callers can test
+    ``is_empty_language``.
     """
     t = _tables(l, g)
     index, portion = t.index, t.witness
@@ -320,8 +322,12 @@ def filter(g: LocalGrammar, l: Lattice) -> Lattice:
                     dst = number[target] = len(states)
                     states.append(target)
                 product_edges.append((src, dst, e.label))
+    # Every product state was reached from the start; keeping only the
+    # edges into states that reach the goal leaves no dead edge, so
+    # ``Lattice.build`` needs no reachability pass of its own.
     goal = number.get((l.final, _FREE), len(states))
-    return Lattice.build(0, goal, product_edges)
+    live = _co_reachable((goal,), product_edges)
+    return Lattice.build(0, goal, [e for e in product_edges if e[1] in live])
 
 
 def filter_oracle(g: LocalGrammar, l: Lattice, limit: int = DEFAULT_PATH_LIMIT) -> Lattice:

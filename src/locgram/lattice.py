@@ -203,29 +203,55 @@ def minimize(l: Lattice) -> Lattice:
     numbering is fixed: subsets are found breadth-first in label order, so
     each class first appears at its shortlex-least word; edges are emitted
     per class in that order; ``Lattice.build`` numbers from that alone.
+
+    The construction runs on ints.  Labels are numbered in order of first
+    appearance, one number per ``sort_key``; each state's moves are its
+    ``(sort_key, label number, dst)`` triples, sorted once; a subset is a
+    sorted tuple of states.  A singleton whose state has no two moves on
+    one label, as in most of a filtered lattice, takes its moves as they
+    are; any other subset groups its moves by label.  Either way a subset
+    gets the same moves, in label order, so subsets are discovered, and
+    numbered, as stated above.  Label order matters only among one
+    subset's moves, so no global sort of the labels is needed.
     """
     if l.is_empty_language():
         return l
 
+    labels: list[EdgeLabel] = []
+    label_number: dict[tuple, int] = {}
+    state_moves: list[list[tuple]] = [[] for _ in range(l.n_states)]
+    for src, dst, label in l.edges:
+        key = label.sort_key
+        i = label_number.get(key)
+        if i is None:
+            i = label_number[key] = len(labels)
+            labels.append(label)
+        state_moves[src].append((key, i, dst))
+    for moves in state_moves:
+        moves.sort()
+
     # Subset construction; subsets are numbered in discovery order, and
     # ``subsets`` is also the breadth-first worklist, extended as it is walked.
-    subsets = [frozenset({l.initial})]
+    subsets = [(l.initial,)]
     number = {subsets[0]: 0}
-    outgoing: list[list[tuple[EdgeLabel, int]]] = []  # per subset, in label order
+    outgoing: list[list[tuple[int, int]]] = []  # per subset: (label, subset) in label order
     for subset in subsets:
-        moves: dict[tuple, tuple[EdgeLabel, set[int]]] = {}
-        for q in subset:
-            for e in l.edges_by_source[q]:
-                moves.setdefault(e.label.sort_key, (e.label, set()))[1].add(e.dst)
+        moves = state_moves[subset[0]]
+        if len(subset) == 1 and len({i for _, i, _ in moves}) == len(moves):
+            targets = [(i, (dst,)) for _, i, dst in moves]
+        else:
+            grouped: dict[tuple, set[int]] = {}
+            for q in subset:
+                for key, i, dst in state_moves[q]:
+                    grouped.setdefault((key, i), set()).add(dst)
+            targets = [(i, tuple(sorted(grouped[key, i]))) for key, i in sorted(grouped)]
         out = []
-        for key in sorted(moves):
-            label, targets = moves[key]
-            target = frozenset(targets)
+        for i, target in targets:
             t = number.get(target)
             if t is None:
                 t = number[target] = len(subsets)
                 subsets.append(target)
-            out.append((label, t))
+            out.append((i, t))
         outgoing.append(out)
 
     # Merge bottom-up: subsets with equal finality and identical outgoing
@@ -236,7 +262,7 @@ def minimize(l: Lattice) -> Lattice:
     state_class = [0] * len(subsets)
     classes: dict[tuple, int] = {}
     for s in reversed(_topological_order([[t for _, t in out] for out in outgoing])):
-        signature = (is_final[s], tuple((lab.sort_key, state_class[t]) for lab, t in outgoing[s]))
+        signature = (is_final[s], tuple((i, state_class[t]) for i, t in outgoing[s]))
         state_class[s] = classes.setdefault(signature, len(classes))
 
     if len({c for c, final in zip(state_class, is_final) if final}) != 1 or any(
@@ -251,7 +277,7 @@ def minimize(l: Lattice) -> Lattice:
         c = state_class[s]
         if c not in emitted:
             emitted.add(c)
-            merged.extend((c, state_class[t], lab) for lab, t in out)
+            merged.extend((c, state_class[t], labels[i]) for i, t in out)
     return Lattice.build(state_class[0], state_class[is_final.index(True)], merged)
 
 

@@ -17,7 +17,7 @@ The category inventory is a separate file, one main code per line.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping
 
@@ -71,16 +71,40 @@ class LexiconEntry:
 
 @dataclass(frozen=True)
 class Lexicon:
+    """Entries by first token, and the labels made from them.
+
+    Each analysis is one label object for the lexicon's lifetime: the
+    tags of a simple surface form (``lookup``) and of a compound entry
+    (``analyses``) are made on first request and kept, so what is
+    computed once per label (sort key, notation) is computed once per
+    analysis, across texts.  Only hits are kept: an unknown surface adds
+    nothing, so the table is bounded by the lexicon's analyses.  Threads
+    racing on a first lookup can at worst make two equal label objects,
+    which are the same symbol (labels compare structurally).
+    """
+
     simple: Mapping[str, tuple[LexiconEntry, ...]]
     compounds: Mapping[str, tuple[LexiconEntry, ...]]
     categories: tuple[str, ...]
+    # surface -> its simple tags, compound entry -> its tags
+    _labels: dict = field(default_factory=dict, compare=False, repr=False)
 
     def lookup(self, surface: str) -> tuple[CompleteTag, ...]:
         """All complete tags for one simple surface form."""
-        tags: list[CompleteTag] = []
-        for entry in self.simple.get(surface, ()):
-            tags.extend(expand_entry(entry))
-        return tuple(tags)
+        tags = self._labels.get(surface)
+        if tags is None:
+            entries = self.simple.get(surface, ())
+            tags = tuple(tag for entry in entries for tag in expand_entry(entry))
+            if tags:
+                self._labels[surface] = tags
+        return tags
+
+    def analyses(self, entry: LexiconEntry) -> tuple[CompleteTag, ...]:
+        """``expand_entry(entry)``, made once per entry."""
+        tags = self._labels.get(entry)
+        if tags is None:
+            tags = self._labels[entry] = expand_entry(entry)
+        return tags
 
 
 def expand_entry(entry: LexiconEntry) -> tuple[CompleteTag, ...]:
@@ -194,29 +218,23 @@ def build_initial_lattice(tokens: list[Token], lexicon: Lexicon) -> Lattice:
     Unknown words abort (guessing would risk eliminating the correct
     analysis later, so it is deliberately unsupported).
 
-    Each analysis is one label object however often its word recurs in
-    the text, so what is computed once per label (sort key, notation) is
-    computed once per analysis.
+    Each analysis is one label object for the lexicon's lifetime, however
+    often its word recurs in this text or later ones; an unknown word adds
+    nothing to the lexicon (see ``Lexicon``).
     """
     edges = []
     n = len(tokens)
-    simple_tags: dict[str, tuple[CompleteTag, ...]] = {}
-    compound_tags: dict[LexiconEntry, tuple[CompleteTag, ...]] = {}
     for token in tokens:
         i = token.position
         if token.kind is TokenKind.SEPARATOR:
             edges.append((i, i + 1, Separator(token.text)))
             continue
-        tags = simple_tags.get(token.lookup)
-        if tags is None:
-            tags = simple_tags[token.lookup] = lexicon.lookup(token.lookup)
-            if not tags:
-                raise UnknownWordError(token)
+        tags = lexicon.lookup(token.lookup)
+        if not tags:
+            raise UnknownWordError(token)
         edges.extend((i, i + 1, tag) for tag in tags)
         for entry in compound_matches(tokens, i, lexicon):
-            tags = compound_tags.get(entry)
-            if tags is None:
-                tags = compound_tags[entry] = expand_entry(entry)
+            tags = lexicon.analyses(entry)
             k = len(entry.surface_tokens)
             edges.extend((i, i + k, tag) for tag in tags)
     return Lattice.build(initial=0, final=n, edges=edges)

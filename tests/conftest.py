@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from locgram import build_initial_lattice, fixtures, tokenize
+from locgram import build_initial_lattice, fixtures, lattice as lattice_module, tokenize
 from locgram.engine import parse_tag_sequence, resolve_tag_sequence
 from locgram.grammar import load_grammar
 from locgram.lattice import Lattice
@@ -114,6 +114,31 @@ def build_calls(monkeypatch):
         return build(cls, *args, **kwargs)
 
     monkeypatch.setattr(Lattice, "build", classmethod(counting))
+    return calls
+
+
+@pytest.fixture
+def reachable_calls(monkeypatch):
+    """A list that grows by one entry per ``lattice._reachable`` call:
+    True when the call is made inside ``Lattice.build``."""
+    calls = []
+    inside = []
+    reachable = lattice_module._reachable
+    build = Lattice.build.__func__
+
+    def counting_reachable(*args):
+        calls.append(bool(inside))
+        return reachable(*args)
+
+    def counting_build(cls, *args, **kwargs):
+        inside.append(1)
+        try:
+            return build(cls, *args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(lattice_module, "_reachable", counting_reachable)
+    monkeypatch.setattr(Lattice, "build", classmethod(counting_build))
     return calls
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -8,6 +9,8 @@ import pytest
 
 from locgram import engine, fixtures
 from locgram.cli import main
+from locgram.errors import InputError
+from locgram.lattice import Lattice, from_json, to_json
 from conftest import CYCLIC_GRAMMAR, LONG_TEXT
 
 CHAIN = fixtures.grammar_path("de-ce-que-chain")
@@ -338,6 +341,117 @@ class TestExitCodes:
         code, _, err = run(capsys, "check", "--grammar", NE_VERB, str(tmp_path))
         assert code == 4
         assert err.startswith("error: ")
+
+
+# Bytes the input mutations insert: JSON and lexicon punctuation, tag
+# brackets, digits, letters, and the halves of a two-byte UTF-8 character
+_FUZZ_BYTES = b'{}[]<>:;,.="\'\\-+#| \n019aeAZ\xc3\xa9\xff'
+
+
+def _mutate(rng, data: bytes) -> bytes:
+    """One to three edits: delete, insert, overwrite or duplicate a few
+    bytes, swap two lines, or cut the rest off."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(data) + 1)
+        j = min(len(data), i + rng.randint(1, 8))
+        kind = rng.randrange(6)
+        if kind == 0:
+            data = data[:i] + data[j:]
+        elif kind == 1:
+            data = data[:i] + bytes(rng.choices(_FUZZ_BYTES, k=rng.randint(1, 3))) + data[i:]
+        elif kind == 2:
+            data = data[:i] + bytes(rng.choices(_FUZZ_BYTES, k=j - i)) + data[j:]
+        elif kind == 3:
+            data = data[:j] + data[i:j] + data[j:]
+        elif kind == 4:
+            lines = data.split(b"\n")
+            a, b = rng.randrange(len(lines)), rng.randrange(len(lines))
+            lines[a], lines[b] = lines[b], lines[a]
+            data = b"\n".join(lines)
+        else:
+            data = data[:i]
+    return data
+
+
+_FUZZ_VALUES = [0, -1, 7, 1.5, True, None, "", "x", "<", "<ne XI>", "-", [], [0], {}, {"from": 0}]
+
+
+def _mutate_document(rng, text: str) -> str:
+    """A JSON document with one member or element dropped or given a
+    value of another kind."""
+    doc = json.loads(text)
+    slots, stack = [], [doc]
+    while stack:
+        node = stack.pop()
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        for key in keys:
+            slots.append((node, key))
+            if isinstance(node[key], (dict, list)):
+                stack.append(node[key])
+    node, key = rng.choice(slots)
+    if rng.random() < 0.3:
+        del node[key]
+    else:
+        node[key] = rng.choice(_FUZZ_VALUES)
+    return json.dumps(doc, ensure_ascii=False)
+
+
+class TestExitCodeFuzz:
+    """Seeded mutations of the bundled input files: every run ends in a
+    verdict or an input error, never in a crash."""
+
+    def test_mutated_inputs_never_crash(self, capsys, tmp_path):
+        rng = random.Random(0)
+        grammar_names = sorted(fixtures.GRAMMAR_FILES)
+        texts = ["Ne lui dis pas", CONFIRM_CHAIN, "Il traverse le chemin de fer."]
+        codes = []
+        for trial in range(300):
+            target = ["grammar", "lexicon", "categories", "corpus"][trial % 4]
+            grammar = fixtures.grammar_path(rng.choice(grammar_names))
+            source = {
+                "grammar": grammar,
+                "lexicon": fixtures.lexicon_path(),
+                "categories": fixtures.categories_path(),
+                "corpus": fixtures.corpus_path(),
+            }[target]
+            mutated = tmp_path / f"{trial}-{Path(source).name}"
+            mutated.write_bytes(_mutate(rng, Path(source).read_bytes()))
+            text = rng.choice(texts)
+            if target == "grammar":
+                grammar = str(mutated)
+            inputs = [f"--{target}", str(mutated)] if target in ("lexicon", "categories") else []
+            corpus = str(mutated) if target == "corpus" else fixtures.corpus_path()
+            commands = [["check", *inputs, "--grammar", grammar, corpus]]
+            if target != "corpus":
+                commands.append(["apply", *inputs, "--grammar", grammar, "--format", "paths", text])
+                # the oracle enumerates every path: a short text keeps it quick
+                commands.append(["diff-oracle", *inputs, "--grammar", grammar, "Ne lui dis pas"])
+            if inputs:
+                commands.append(["tag", *inputs, "--format", "lattice", text])
+            for argv in commands:
+                code, _, err = run(capsys, *argv)
+                assert code in {0, 1, 2, 3, 4}, (argv, mutated.read_bytes(), err)
+                assert "Traceback" not in err, (argv, err)
+                codes.append(code)
+        # the mutations reach past the readers: verdicts and input errors both occur
+        assert {0, 4} <= set(codes)
+
+    def test_mutated_lattice_documents_are_read_or_rejected(self, lattices, grammars, categories):
+        rng = random.Random(0)
+        filtered = engine.filter(grammars["de-ce-que-chain"], lattices["confirm-chain"])
+        documents = [to_json(l) for l in [*lattices.values(), filtered]]
+        outcomes = set()
+        for trial in range(400):
+            document = rng.choice(documents)
+            if trial % 2:
+                document = _mutate(rng, document.encode("utf-8")).decode("utf-8", "replace")
+            else:
+                document = _mutate_document(rng, document)
+            try:
+                outcomes.add(type(from_json(document, categories)))
+            except InputError:
+                outcomes.add(InputError)
+        assert outcomes == {Lattice, InputError}
 
 
 class TestUsage:

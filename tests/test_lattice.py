@@ -221,6 +221,36 @@ class TestMinimize:
         m = minimize(filtered)
         assert language(m) == language(filtered)
 
+    def test_nondeterministic_random_lattices(self):
+        # randgen lattices with some edges doubled and some same-label
+        # siblings added: a sibling is a new state reached by an edge's
+        # label, continuing by part of that edge's target's out-edges, so
+        # the language stays the same.  A state with two moves on one
+        # label sends its subset through the grouping path; every other
+        # state takes the singleton path.
+        rng = random.Random(0)
+        shapes = set()
+        for k in range(150):
+            l = random_instance(rng, mode=rng.choice(["general", "simple", "oii"])).lattice
+            edges = list(l.edges)
+            for j, e in enumerate(l.edges):
+                if rng.random() < 0.1:
+                    edges.append(e)
+                elif rng.random() < 0.1 and e.dst != l.final:
+                    sibling = ("sibling", j)
+                    edges.append((e.src, sibling, e.label))
+                    out = l.edges_by_source[e.dst]
+                    kept = rng.sample(out, rng.randint(1, len(out)))
+                    edges += [(sibling, f.dst, f.label) for f in kept]
+            perturbed = Lattice.build(l.initial, l.final, edges)
+            moves = [(e.src, e.label) for e in perturbed.edges]
+            shapes.add(len(set(moves)) < len(moves))
+            m = minimize(perturbed)
+            assert language(m) == language(l), k
+            assert len({(e.src, e.label) for e in m.edges}) == len(m.edges), k  # deterministic
+            assert m == minimize(l), k  # canonical
+        assert shapes == {True, False}
+
 
 class TestBuildCount:
     def test_minimize_builds_only_its_result(self, lattices, build_calls):

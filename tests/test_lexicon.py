@@ -5,6 +5,7 @@ from locgram.errors import LexiconFormatError, UnknownWordError
 from locgram.lattice import enumerate_paths
 from locgram.lexicon import TokenKind, load_categories, load_lexicon
 from locgram.tags import Separator
+from conftest import SENTENCES
 
 
 class TestLoadLexicon:
@@ -118,9 +119,36 @@ class TestBuildInitialLattice:
         first, second = span_labels(l, 3, 4), span_labels(l, 9, 10)
         assert len(first) > 1
         assert all(a is b for a, b in zip(first, second, strict=True))
-        # nothing is kept across calls
+        # kept for the lexicon's lifetime: a later call shares them too
         again = build_initial_lattice(tokenize(text), lexicon)
-        assert not any(a is b for a, b in zip(first, span_labels(again, 3, 4)))
+        assert all(a is b for a, b in zip(first, span_labels(again, 3, 4), strict=True))
+
+    def test_second_call_shares_every_analysis(self, lexicon):
+        for text in SENTENCES.values():
+            first, second = (build_initial_lattice(tokenize(text), lexicon) for _ in range(2))
+            assert first == second
+            for a, b in zip(first.edges, second.edges, strict=True):
+                if not isinstance(a.label, Separator):  # separators are made per token
+                    assert a.label is b.label, text
+
+    def test_compound_labels_shared_across_calls(self, lexicon):
+        def compound_labels():
+            l = build_initial_lattice(tokenize(SENTENCES["railway"]), lexicon)
+            return [e.label for e in l.edges if getattr(e.label, "compound", False)]
+
+        first, second = compound_labels(), compound_labels()
+        assert [label.lemma for label in first] == ["chemin/de/fer"]
+        assert first[0] is second[0]
+
+    def test_unknown_surface_is_not_kept(self, lexicon):
+        known = lexicon.lookup("fait")
+        size = len(lexicon._labels)
+        for surface in ("pont", "Fait", "fai", ""):
+            assert lexicon.lookup(surface) == ()
+        with pytest.raises(UnknownWordError):
+            build_initial_lattice(tokenize("fait pont"), lexicon)
+        assert len(lexicon._labels) == size
+        assert lexicon.lookup("fait") is known
 
     def test_unknown_word_aborts_with_token(self, lexicon):
         with pytest.raises(UnknownWordError) as info:
