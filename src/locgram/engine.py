@@ -27,16 +27,19 @@ bitmask of the transitions it can satisfy, bit ``i`` for
 must agree with.  Each step of a matched portion is then one ``&`` of
 the edge's output mask, its span's input mask and the transition's bit.
 
-One holder, ``_Tables``, keeps the per-edge tables of a lattice and
-grammar, aligned with ``Lattice.edges_by_source`` and each built on
-first use: input and output masks, the matchable index, the witness
-masks (general rule), the own-tag masks (rules A and B) and rule A's
-surface index.  Every verdict reads it.  The engine keeps one slot, the
-holder of the last pair, matched by identity, never by hash, which would
-hash every label: checking many paths of one lattice builds its tables
-once, and at most one lattice's tables outlive a call.  A cache on the
-lattice would keep tables for every grammar it meets, and make the work
-of a call depend on the calls before it.
+One holder, ``_Tables``, keeps the tables of a lattice and grammar,
+each built on first use: the per-edge input and output masks, witness
+masks (general rule) and own-tag masks (rules A and B), each a flat int
+list aligned with the edge indices of ``Lattice.edges``, and the
+matchable index and rule A's surface index, per state.  A state's edges
+are one run of ``edges`` (``Lattice._starts``), so a walk over a
+state's edges reads a range of indices.  Every verdict reads the
+holder.  The engine keeps one slot, the holder of the last pair, matched
+by identity, never by hash, which would hash every label: checking many
+paths of one lattice builds its tables once, and at most one lattice's
+tables outlive a call.  A cache on the lattice would keep tables for
+every grammar it meets, and make the work of a call depend on the calls
+before it.
 
 A path's verdict, its witness and a rejected path's silence span come
 from one forward walk over its positions, ``_walk``.  Every walk is
@@ -50,7 +53,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import and_, itemgetter, or_
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import CorpusFormatError, TagFormatError, UnknownWordError
 from .grammar import GrammarClass, LocalGrammar, classify
@@ -59,7 +62,7 @@ from .lexicon import Lexicon, build_initial_lattice, tokenize
 from .tags import EdgeLabel, Separator, parse_complete_tag
 
 MatchableIndex = dict  # lattice state -> bool
-EdgeMasks = dict  # lattice state -> one transition bitmask per outgoing edge
+_label = itemgetter(2)  # an edge's label
 
 
 @dataclass(frozen=True)
@@ -86,16 +89,12 @@ class Decomposition:
     blocks: tuple
 
 
-def _edge_masks(l: Lattice, mask: Callable[[EdgeLabel], int]) -> EdgeMasks:
-    """``mask`` of every edge label, aligned with ``edges_by_source``."""
-    return {q: tuple(mask(e.label) for e in es) for q, es in l.edges_by_source.items()}
-
-
 class _Tables:
-    """The per-edge tables of one (lattice, grammar) pair.  A matched
-    portion's step over an edge needs its output to conform to the edge's
-    label, and its input to some label on the same span (``witness``, the
-    general rule) or to the edge's own label (``own``, rules A and B)."""
+    """The per-edge tables of one (lattice, grammar) pair, each one int per
+    edge, aligned with ``l.edges``.  A matched portion's step over an edge
+    needs its output to conform to the edge's label, and its input to some
+    label on the same span (``witness``, the general rule) or to the edge's
+    own label (``own``, rules A and B)."""
 
     last: _Tables | None = None  # the engine's one slot
 
@@ -103,12 +102,12 @@ class _Tables:
         self.l, self.g = l, g
 
     @cached_property
-    def inputs(self) -> EdgeMasks:
-        return _edge_masks(self.l, self.g.compiled.inputs.mask)
+    def inputs(self) -> list[int]:
+        return list(map(self.g.compiled.inputs.mask, map(_label, self.l.edges)))
 
     @cached_property
-    def outputs(self) -> EdgeMasks:
-        return _edge_masks(self.l, self.g.compiled.outputs.mask)
+    def outputs(self) -> list[int]:
+        return list(map(self.g.compiled.outputs.mask, map(_label, self.l.edges)))
 
     @cached_property
     def index(self) -> MatchableIndex:
@@ -124,32 +123,29 @@ class _Tables:
             literal = table.separators if isinstance(label, Separator) else table.surfaces
             return literal.get(label.surface, 0)
 
-        return _match_index(self.l, self.g, _edge_masks(self.l, mask))
+        return _match_index(self.l, self.g, list(map(mask, map(_label, self.l.edges))))
 
     @cached_property
-    def witness(self) -> EdgeMasks:
-        table = {}
-        for q, es in self.l.edges_by_source.items():
-            span: dict[int, int] = {}
-            for e, m in zip(es, self.inputs[q]):
-                span[e.dst] = span.get(e.dst, 0) | m
-            table[q] = tuple(out & span[e.dst] for e, out in zip(es, self.outputs[q]))
-        return table
+    def witness(self) -> list[int]:
+        """Each edge's output mask, and-ed with the union of its span's
+        input masks (a span: every edge from its source to its target)."""
+        n = self.l.n_states
+        spans = [src * n + dst for src, dst, _ in self.l.edges]
+        inputs: dict[int, int] = {}
+        for span, m in zip(spans, self.inputs):
+            inputs[span] = inputs.get(span, 0) | m
+        return [out & inputs[span] for span, out in zip(spans, self.outputs)]
 
     @cached_property
-    def own(self) -> EdgeMasks:
-        return {q: tuple(map(and_, outs, self.inputs[q])) for q, outs in self.outputs.items()}
+    def own(self) -> list[int]:
+        return list(map(and_, self.outputs, self.inputs))
 
     @cached_property
     def place(self) -> dict:
-        """Each edge's index in ``edges_by_source[src]``, by ``(src, dst,
+        """Each edge's index in ``l.edges``, by ``(src, dst,
         label.sort_key)``, whose hash, unlike an ``Edge``'s, is no Python
         call.  Equal edges have equal masks: either index will do."""
-        return {
-            (e.src, e.dst, e.label.sort_key): i
-            for es in self.l.edges_by_source.values()
-            for i, e in enumerate(es)
-        }
+        return {(e.src, e.dst, e.label.sort_key): i for i, e in enumerate(self.l.edges)}
 
 
 def _tables(l: Lattice, g: LocalGrammar) -> _Tables:
@@ -160,10 +156,10 @@ def _tables(l: Lattice, g: LocalGrammar) -> _Tables:
     return t
 
 
-def _match_index(l: Lattice, g: LocalGrammar, masks: EdgeMasks) -> MatchableIndex:
+def _match_index(l: Lattice, g: LocalGrammar, masks: list[int]) -> MatchableIndex:
     """For each lattice state: does some path from it match a complete
     input sequence of the grammar, edge by edge, where an edge may take
-    the transitions set in its mask?
+    the transitions set in its mask (``masks``, aligned with ``l.edges``)?
 
     A backward pass over the lattice states.  Every step consumes an edge
     and states are numbered in topological order, so a state's successors
@@ -171,7 +167,6 @@ def _match_index(l: Lattice, g: LocalGrammar, masks: EdgeMasks) -> MatchableInde
     holds the bits of the transitions into grammar states from which some
     path out of lattice state ``q`` completes an input sequence.
     """
-    by_source = l.edges_by_source
     into = dict.fromkeys(g.states, 0)
     leaving = dict.fromkeys(g.states, 0)
     for i, t in enumerate(g.transitions):
@@ -179,13 +174,16 @@ def _match_index(l: Lattice, g: LocalGrammar, masks: EdgeMasks) -> MatchableInde
         leaving[t.src] |= 1 << i
     lands_final = reduce(or_, (into[s] for s in g.finals), 0)
     non_final = [(leaving[s], into[s]) for s in g.states if s not in g.finals]
+    edges, starts = l.edges, l._starts
     lands = [0] * l.n_states
     live = [0] * l.n_states  # per state: the transitions some path out of it can take
     for q in range(l.n_states - 1, -1, -1):
-        for e, m in zip(by_source[q], masks[q]):
-            live[q] |= m & lands[e.dst]
+        bits = 0
+        for i in range(starts[q], starts[q + 1]):
+            bits |= masks[i] & lands[edges[i].dst]
+        live[q] = bits
         lands[q] = reduce(
-            or_, (in_bits for out_bits, in_bits in non_final if out_bits & live[q]), lands_final
+            or_, (in_bits for out_bits, in_bits in non_final if out_bits & bits), lands_final
         )
     if g.initial in g.finals:
         return dict.fromkeys(range(l.n_states), True)
@@ -199,7 +197,7 @@ def matchable(l: Lattice, g: LocalGrammar) -> MatchableIndex:
     return _tables(l, g).index
 
 
-def _walk(t: _Tables, p: Sequence[Edge], index: MatchableIndex, masks: EdgeMasks) -> tuple:
+def _walk(t: _Tables, p: Sequence[Edge], index: MatchableIndex, masks: list[int]) -> tuple:
     """The one forward walk over path ``p`` of ``t.l``: each edge's entry
     in ``masks``, and ``via[j]``, the first ``(start, block)`` found to
     end at position ``j`` when scanning reached positions from the left
@@ -214,7 +212,7 @@ def _walk(t: _Tables, p: Sequence[Edge], index: MatchableIndex, masks: EdgeMasks
         i = place.get((e.src, e.dst, e.label.sort_key)) if e.src == q else None
         if i is None:
             raise ValueError(f"edge {e!r} does not continue a path of the lattice")
-        ok.append(masks[q][i])
+        ok.append(masks[i])
         free.append(not index[q])
         q = e.dst
     if q != t.l.final:
@@ -230,7 +228,7 @@ def _walk(t: _Tables, p: Sequence[Edge], index: MatchableIndex, masks: EdgeMasks
 
 
 def _decompose(
-    t: _Tables, p: Sequence[Edge], index: MatchableIndex, masks: EdgeMasks
+    t: _Tables, p: Sequence[Edge], index: MatchableIndex, masks: list[int]
 ) -> Decomposition | None:
     """The witness ``_walk`` found, read backwards from the path's end."""
     _, via = _walk(t, p, index, masks)
@@ -286,15 +284,15 @@ def filter(g: LocalGrammar, l: Lattice) -> Lattice:
     follow the transducer checking outputs against the edge and inputs
     against same-span edges of the original lattice.  One backward pass
     from the goal drops the product edges on no start-to-goal path, in
-    their order, so the result is numbered as if ``Lattice.build`` had
-    dropped them.  An empty result is permitted; callers can test
-    ``is_empty_language``.
+    their order, and ``Lattice._from_live`` numbers the rest as
+    ``Lattice.build`` would.  An empty result is permitted; callers can
+    test ``is_empty_language``.
     """
     t = _tables(l, g)
     index, portion = t.index, t.witness
     steps = g.compiled.steps
     finals = g.finals
-    by_source = l.edges_by_source
+    edges, starts = l.edges, l._starts
 
     # Product states are numbered in discovery order; ``states`` is also
     # the breadth-first worklist, which the loop extends as it walks it.
@@ -302,7 +300,8 @@ def filter(g: LocalGrammar, l: Lattice) -> Lattice:
     number = {states[0]: 0}
     product_edges = []
     for src, (q, mode) in enumerate(states):
-        for e, ok in zip(by_source[q], portion[q]):
+        for i in range(starts[q], starts[q + 1]):
+            e, ok = edges[i], portion[i]
             targets = []
             if mode is _FREE:
                 if not index[q]:
@@ -323,11 +322,12 @@ def filter(g: LocalGrammar, l: Lattice) -> Lattice:
                     states.append(target)
                 product_edges.append((src, dst, e.label))
     # Every product state was reached from the start; keeping only the
-    # edges into states that reach the goal leaves no dead edge, so
-    # ``Lattice.build`` needs no reachability pass of its own.
+    # edges into states that reach the goal leaves no dead edge.  Product
+    # edges that share ``(src, dst)`` come from one lattice span, in its
+    # edges' order, which is ``sort_key`` order.
     goal = number.get((l.final, _FREE), len(states))
     live = _co_reachable((goal,), product_edges)
-    return Lattice.build(0, goal, [e for e in product_edges if e[1] in live])
+    return Lattice._from_live(0, goal, [e for e in product_edges if e[1] in live])
 
 
 def filter_oracle(g: LocalGrammar, l: Lattice, limit: int = DEFAULT_PATH_LIMIT) -> Lattice:

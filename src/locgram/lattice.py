@@ -7,21 +7,38 @@ are the same symbol only when structurally equal, surface included.
 Ambiguity reduction may shrink the path set while the number of states
 and transitions grows or shrinks independently.
 
-Every lattice is made by ``Lattice.build``, which keeps exactly the
-edges on some initial-to-final path, numbers the states in topological
-order and sorts the edges.  So every state of a lattice other than its
-initial and final states lies on a path, and what is computed over a
-lattice (the engine's matchable index, ``minimize``) sees only admitted
-taggings.  The apply pipeline (initial lattice, ``engine.filter``,
-``minimize``) builds exactly one lattice per stage.
+Every lattice is in one canonical form: it keeps exactly the edges on
+some initial-to-final path, its states are numbered in a deterministic
+topological order, and its edges are sorted by ``(src, dst,
+label.sort_key)``.  So every state of a lattice other than its initial
+and final states lies on a path, what is computed over a lattice (the
+engine's matchable index, ``minimize``) sees only admitted taggings, and
+state ``q``'s edges are one contiguous run of ``edges``.  Three
+constructors make it, each relying on what its caller guarantees:
+
+* ``Lattice.build`` takes any hashable states and any edges.  It drops
+  the dead ones, numbers the states by Kahn's order over the states in
+  order of first appearance, and sorts by the key above.  Reading JSON,
+  the oracle's trie and random instances use it.
+* ``Lattice._from_live`` takes int states with no dead edge, whose edges
+  that share ``(src, dst)`` arrive in ``sort_key`` order.  It numbers the
+  states as ``build`` does and sorts stably on ``(src, dst)`` alone.
+  ``engine.filter`` and ``minimize`` use it.
+* The dataclass constructor itself takes a lattice already in canonical
+  form.  ``build_initial_lattice`` uses it: its states are the token
+  boundaries, which the chain of tokens numbers ``0..n`` in the only
+  topological order, and it emits each position's edges in order.
+
+The apply pipeline (initial lattice, ``engine.filter``, ``minimize``)
+makes exactly one lattice per stage.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain
+from functools import cached_property, partial
+from itertools import accumulate, chain, pairwise
 from operator import itemgetter
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
@@ -36,6 +53,10 @@ class Edge(NamedTuple):
     dst: int
     label: EdgeLabel
 
+
+# ``Edge(*triple)`` without the Python-level ``Edge.__new__``, for the
+# thousands of edges a lattice is made of
+_as_edge = partial(tuple.__new__, Edge)
 
 Path = tuple  # consecutive edges from the initial to the final state
 
@@ -84,32 +105,57 @@ class Lattice:
 
     @classmethod
     def _numbered(cls, initial: Hashable, final: Hashable, edges: list[tuple]) -> "Lattice":
-        """``edges`` as they are, renumbered in Kahn's order over the states
-        in order of first appearance.  Raises on cycles."""
-        ends = list(map(itemgetter(0, 1), edges))
-        order = list(dict.fromkeys(chain((initial,), chain.from_iterable(ends), (final,))))
-        first = {s: i for i, s in enumerate(order)}
-        successors: list[list[int]] = [[] for _ in order]
-        for src, dst in ends:
-            successors[first[src]].append(first[dst])
-        number = {order[i]: rank for rank, i in enumerate(_topological_order(successors))}
+        """``edges`` as they are, renumbered (see ``_numbering``) and sorted."""
+        number = _numbering(initial, final, edges)
         renumbered = sorted(
             (Edge(number[src], number[dst], label) for src, dst, label in edges),
             key=lambda e: (e.src, e.dst, e.label.sort_key),
         )
-        return cls(len(order), number[initial], number[final], tuple(renumbered))
+        return cls(len(number), number[initial], number[final], tuple(renumbered))
+
+    @classmethod
+    def _from_live(cls, initial: int, final: int, edges: list[tuple]) -> "Lattice":
+        """What ``build`` makes of ``edges``, for int states, when every edge
+        lies on an initial-to-final path and edges that share ``(src, dst)``
+        come in ``sort_key`` order: a stable sort on ``(src, dst)`` then puts
+        them in ``build``'s order without comparing labels."""
+        number = _numbering(initial, final, edges)
+        n = len(number)
+        renumbered = [(number[src], number[dst], label) for src, dst, label in edges]
+        renumbered.sort(key=lambda e: e[0] * n + e[1])
+        return cls(n, number[initial], number[final], tuple(map(_as_edge, renumbered)))
 
     @cached_property
-    def edges_by_source(self) -> dict[int, tuple[Edge, ...]]:
-        table: dict[int, list[Edge]] = {q: [] for q in range(self.n_states)}
+    def _starts(self) -> list[int]:
+        """State ``q``'s edges are ``edges[_starts[q]:_starts[q + 1]]``."""
+        counts = [0] * (self.n_states + 1)
         for e in self.edges:
-            table[e.src].append(e)
-        return {q: tuple(es) for q, es in table.items()}
+            counts[e.src + 1] += 1
+        return list(accumulate(counts))
+
+    @cached_property
+    def edges_by_source(self) -> tuple[tuple[Edge, ...], ...]:
+        """State ``q``'s edges at index ``q``, in edge order."""
+        starts, edges = self._starts, self.edges
+        return tuple(edges[a:b] for a, b in pairwise(starts))
 
     def is_empty_language(self) -> bool:
         """True when no path joins the initial to the final state: every
         edge lies on such a path, so exactly when there are none."""
         return self.initial != self.final and not self.edges
+
+
+def _numbering(initial: Hashable, final: Hashable, edges: list[tuple]) -> dict:
+    """Each state's number: Kahn's order (``_topological_order``) over the
+    states in order of first appearance, ``initial`` first and ``final``
+    last among the new.  Raises on cycles."""
+    ends = list(map(itemgetter(0, 1), edges))
+    order = list(dict.fromkeys(chain((initial,), chain.from_iterable(ends), (final,))))
+    first = {s: i for i, s in enumerate(order)}
+    successors: list[list[int]] = [[] for _ in order]
+    for src, dst in ends:
+        successors[first[src]].append(first[dst])
+    return {order[i]: rank for rank, i in enumerate(_topological_order(successors))}
 
 
 def _reachable(starts: Iterable[Hashable], arcs: Iterable[tuple[Hashable, Hashable]]) -> set:
@@ -191,8 +237,8 @@ def minimize(l: Lattice) -> Lattice:
     right languages.
 
     Every state of ``l`` reaches the final state, so the result, the one
-    lattice built, needs no pass of its own to drop dead states, and a
-    lattice with an empty language is its own minimal form.
+    lattice built, has no dead edge, and a lattice with an empty language
+    is its own minimal form.
 
     Lattices anchored on token boundaries have prefix-free path label sets;
     for other inputs whose minimal automaton would need a final state with
@@ -202,7 +248,8 @@ def minimize(l: Lattice) -> Lattice:
     results.  The minimal acyclic DFA is unique (Revuz 1992), and its
     numbering is fixed: subsets are found breadth-first in label order, so
     each class first appears at its shortlex-least word; edges are emitted
-    per class in that order; ``Lattice.build`` numbers from that alone.
+    per class in that order, so a class's edges are in label order, as
+    ``Lattice._from_live`` needs; it numbers from that alone.
 
     The construction runs on ints.  Labels are numbered in order of first
     appearance, one number per ``sort_key``; each state's moves are its
@@ -278,7 +325,7 @@ def minimize(l: Lattice) -> Lattice:
         if c not in emitted:
             emitted.add(c)
             merged.extend((c, state_class[t], labels[i]) for i, t in out)
-    return Lattice.build(state_class[0], state_class[is_final.index(True)], merged)
+    return Lattice._from_live(state_class[0], state_class[is_final.index(True)], merged)
 
 
 def _topological_order(successors: list[list[int]]) -> list[int]:

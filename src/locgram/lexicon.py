@@ -19,10 +19,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, Mapping
 
 from .errors import LexiconFormatError, UnknownWordError
-from .lattice import Lattice
+from .lattice import Lattice, _as_edge
 from .tags import (
     Category,
     CompleteTag,
@@ -90,11 +91,13 @@ class Lexicon:
     _labels: dict = field(default_factory=dict, compare=False, repr=False)
 
     def lookup(self, surface: str) -> tuple[CompleteTag, ...]:
-        """All complete tags for one simple surface form."""
+        """All complete tags for one simple surface form, in ``sort_key``
+        order; equal tags from several entries keep their entries' order."""
         tags = self._labels.get(surface)
         if tags is None:
             entries = self.simple.get(surface, ())
-            tags = tuple(tag for entry in entries for tag in expand_entry(entry))
+            tags = (tag for entry in entries for tag in expand_entry(entry))
+            tags = tuple(sorted(tags, key=attrgetter("sort_key")))
             if tags:
                 self._labels[surface] = tags
         return tags
@@ -209,6 +212,9 @@ def compound_matches(tokens: list[Token], start: int, lexicon: Lexicon) -> list[
     return matches
 
 
+_SEPARATORS = {char: Separator(char) for char in SEPARATOR_CHARS}
+
+
 def build_initial_lattice(tokens: list[Token], lexicon: Lexicon) -> Lattice:
     """Dictionary consultation: one edge per analysis.
 
@@ -220,21 +226,31 @@ def build_initial_lattice(tokens: list[Token], lexicon: Lexicon) -> Lattice:
 
     Each analysis is one label object for the lexicon's lifetime, however
     often its word recurs in this text or later ones; an unknown word adds
-    nothing to the lexicon (see ``Lexicon``).
+    nothing to the lexicon (see ``Lexicon``).  Each separator character is
+    one label object too.
+
+    The lattice is made in canonical form (see ``lattice``), with no
+    renumbering: the chain of tokens makes ``0..n`` the only topological
+    order and puts every edge on a path, and each position's edges come
+    out sorted, its one-token edges (in ``lookup`` order) before its
+    compounds, which are sorted by end and then by ``sort_key``.
     """
     edges = []
-    n = len(tokens)
     for token in tokens:
         i = token.position
         if token.kind is TokenKind.SEPARATOR:
-            edges.append((i, i + 1, Separator(token.text)))
+            edges.append((i, i + 1, _SEPARATORS[token.text]))
             continue
         tags = lexicon.lookup(token.lookup)
         if not tags:
             raise UnknownWordError(token)
-        edges.extend((i, i + 1, tag) for tag in tags)
-        for entry in compound_matches(tokens, i, lexicon):
-            tags = lexicon.analyses(entry)
-            k = len(entry.surface_tokens)
-            edges.extend((i, i + k, tag) for tag in tags)
-    return Lattice.build(initial=0, final=n, edges=edges)
+        edges += [(i, i + 1, tag) for tag in tags]
+        compounds = [
+            (i, i + len(entry.surface_tokens), tag)
+            for entry in compound_matches(tokens, i, lexicon)
+            for tag in lexicon.analyses(entry)
+        ]
+        compounds.sort(key=lambda e: (e[1], e[2].sort_key))
+        edges += compounds
+    n = len(tokens)
+    return Lattice(n + 1, 0, n, tuple(map(_as_edge, edges)))

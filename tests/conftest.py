@@ -105,40 +105,44 @@ def find_path(categories):
 
 @pytest.fixture
 def build_calls(monkeypatch):
-    """A list that grows by one entry per ``Lattice.build`` call."""
+    """A list that grows by one entry per ``Lattice`` made, by any
+    constructor: ``Lattice.build``, the private ones or the class itself."""
     calls = []
-    build = Lattice.build.__func__
+    init = Lattice.__init__
 
-    def counting(cls, *args, **kwargs):
+    def counting(self, *args, **kwargs):
         calls.append(1)
-        return build(cls, *args, **kwargs)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(Lattice, "build", classmethod(counting))
+    monkeypatch.setattr(Lattice, "__init__", counting)
     return calls
 
 
 @pytest.fixture
 def reachable_calls(monkeypatch):
     """A list that grows by one entry per ``lattice._reachable`` call:
-    True when the call is made inside ``Lattice.build``."""
+    True when the call is made inside a lattice constructor
+    (``Lattice.build`` or ``Lattice._from_live``)."""
     calls = []
     inside = []
     reachable = lattice_module._reachable
-    build = Lattice.build.__func__
 
     def counting_reachable(*args):
         calls.append(bool(inside))
         return reachable(*args)
 
-    def counting_build(cls, *args, **kwargs):
-        inside.append(1)
-        try:
-            return build(cls, *args, **kwargs)
-        finally:
-            inside.pop()
-
     monkeypatch.setattr(lattice_module, "_reachable", counting_reachable)
-    monkeypatch.setattr(Lattice, "build", classmethod(counting_build))
+    for name in ("build", "_from_live"):
+        constructor = getattr(Lattice, name).__func__
+
+        def counting_constructor(cls, *args, constructor=constructor, **kwargs):
+            inside.append(1)
+            try:
+                return constructor(cls, *args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(Lattice, name, classmethod(counting_constructor))
     return calls
 
 

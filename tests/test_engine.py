@@ -23,6 +23,7 @@ from locgram.engine import (
 )
 from locgram.errors import CorpusFormatError
 from locgram.grammar import load_grammar
+from locgram.lexicon import TokenKind, compound_matches, expand_entry, load_lexicon
 from locgram.lattice import (
     Lattice,
     enumerate_paths,
@@ -33,7 +34,7 @@ from locgram.lattice import (
     to_json,
 )
 from locgram.randgen import random_instance
-from locgram.tags import conforms, parse_complete_tag
+from locgram.tags import Separator, conforms, parse_complete_tag
 from conftest import LONG_REPEATS, LONG_TEXT, SENTENCES, assert_live, renamed, union_lattice
 
 CATS = ("V", "N", "A", "ADV", "PRO", "DET", "PREP", "CNJS", "CNJC", "XI", "INT")
@@ -697,3 +698,84 @@ class TestAtScale:
         verdicts = [accepts(g, p, l) for p in paths]
         assert verdicts == [_member(m, path_labels(p)) for p in paths]
         assert set(verdicts) == {True, False}
+
+
+def _built_initial_lattice(tokens, lexicon):
+    """The initial lattice as ``Lattice.build`` makes it from every
+    analysis of each token, in lexicon order, with no kept label."""
+    edges = []
+    for token in tokens:
+        i = token.position
+        if token.kind is TokenKind.SEPARATOR:
+            edges.append((i, i + 1, Separator(token.text)))
+            continue
+        entries = [*lexicon.simple.get(token.lookup, ()), *compound_matches(tokens, i, lexicon)]
+        edges += [
+            (i, i + len(entry.surface_tokens), tag) for entry in entries for tag in expand_entry(entry)
+        ]
+    return Lattice.build(0, len(tokens), edges)
+
+
+class TestCanonicalForm:
+    """``build_initial_lattice``, ``filter`` and ``minimize`` make their
+    lattices without ``Lattice.build``, yet each must be what ``build``
+    makes of its own edges: the same numbering, and parallel edges in
+    ``sort_key`` order with their multiplicity."""
+
+    @staticmethod
+    def assert_pipeline(text, lexicon, grammars):
+        tokens = tokenize(text)
+        l = build_initial_lattice(tokens, lexicon)
+        assert l == _built_initial_lattice(tokens, lexicon), text
+        made = [l]
+        for g in grammars:
+            f = filter_lattice(g, l)
+            made += [f, minimize(f)]
+        for m in made:
+            assert Lattice.build(m.initial, m.final, m.edges) == m, text
+
+    def test_fixture_sentences(self, lexicon, grammars):
+        named = [*grammars.values(), union(list(grammars.values()))]
+        for text in [*SENTENCES.values(), SCALE_TEXT]:
+            self.assert_pipeline(text, lexicon, named)
+        self.assert_pipeline(LONG_TEXT, lexicon, named[-1:])
+
+    @pytest.mark.parametrize("mode", ["general", "simple", "oii"])
+    def test_random_instances(self, mode):
+        # the random lexicons draw their surfaces from one small set, so
+        # successive ones share surfaces with other analyses
+        rng = random.Random(12)
+        for _ in range(150):
+            inst = random_instance(rng, mode=mode)
+            self.assert_pipeline(inst.text, inst.lexicon, [inst.grammar])
+
+    def test_duplicate_parallel_edges(self, categories, grammars):
+        lexicon = load_lexicon(
+            [
+                "il,il.PRO:3ms",
+                "vient,venir.V:P3s",
+                "vient,venir.V:P3s:W",
+                "sur,sur.PREP",
+                "le,le.DET:ms",
+                "moment,moment.N:ms",
+                "sur le moment,sur le moment.N:ms:fs",
+                "sur le moment,sur le moment.ADV;PDETC",
+                "sur le moment,sur le moment.N:ms",
+            ],
+            categories,
+        )
+        text = "il vient sur le moment"
+        self.assert_pipeline(text, lexicon, [*grammars.values(), union(list(grammars.values()))])
+        l = build_initial_lattice(tokenize(text), lexicon)
+        for tag, span in (("<venir V:P3s>", (1, 2)), ("<sur/le/moment N:ms>", (2, 5))):
+            label = parse_complete_tag(tag, categories)
+            on_span = [(e.label.lemma, e.label.features) for e in l.edges if e[:2] == span]
+            assert on_span.count((label.lemma, label.features)) == 2
+
+    def test_lexicons_sharing_surfaces(self, categories):
+        shared = ["moment,moment.N:ms"]
+        a = ["fait,faire.V:P3s", "fait,fait.N:ms", "le,le.DET:ms", "le moment,le moment.N:ms"]
+        b = ["fait,fait.A:ms", "le,le.PRO:3ms", "le moment,le moment.ADV"]
+        a, b = (load_lexicon([*shared, *lines], categories) for lines in (a, b))
+        for lexicon in (a, b, a, b):
+            self.assert_pipeline("fait le moment", lexicon, [])

@@ -128,8 +128,7 @@ class TestBuildInitialLattice:
             first, second = (build_initial_lattice(tokenize(text), lexicon) for _ in range(2))
             assert first == second
             for a, b in zip(first.edges, second.edges, strict=True):
-                if not isinstance(a.label, Separator):  # separators are made per token
-                    assert a.label is b.label, text
+                assert a.label is b.label, text
 
     def test_compound_labels_shared_across_calls(self, lexicon):
         def compound_labels():
