@@ -10,6 +10,7 @@ languages on filter against oracle and filter against input."""
 import argparse
 import random
 import sys
+from itertools import islice
 
 from locgram.engine import (
     accepts,
@@ -18,7 +19,7 @@ from locgram.engine import (
     filter as filter_lattice,
     filter_oracle,
 )
-from locgram.lattice import enumerate_paths, language, language_equal, path_labels
+from locgram.lattice import iter_paths, language, language_equal, path_labels
 from locgram.randgen import random_instance
 
 
@@ -34,7 +35,7 @@ def main():
     for trial in range(args.trials):
         inst = random_instance(rng, mode=args.mode)
         g, l = inst.grammar, inst.lattice
-        paths = enumerate_paths(l, 200).paths[: args.paths_per_instance]
+        paths = list(islice(iter_paths(l), args.paths_per_instance))
         if args.mode == "general":
             f, o = filter_lattice(g, l), filter_oracle(g, l)
             accepted, full = language(f), language(l)

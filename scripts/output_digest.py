@@ -17,10 +17,11 @@ Run it in two checkouts with the same arguments; the outputs must match.
 import argparse
 import hashlib
 import random
+from itertools import islice
 
 from locgram import build_initial_lattice, fixtures, tokenize, union
 from locgram.engine import CorpusItem, filter as filter_lattice, load_corpus, silence_check
-from locgram.lattice import enumerate_paths, minimize, path_labels, to_dot, to_json
+from locgram.lattice import iter_paths, minimize, path_labels, to_dot, to_json
 from locgram.randgen import random_instance
 
 KINDS = ("initial_json", "filtered_json", "minimized_json", "dot", "silence_lines")
@@ -45,11 +46,11 @@ class Digests:
 
 
 def gold_corpus(text: str, lattice, paths: int) -> list:
-    """The text once per enumerated path, that path as its gold tagging."""
-    enum = enumerate_paths(lattice, paths)
+    """The text once per path, for the first ``paths`` paths, that path as
+    its gold tagging."""
     return [
         CorpusItem(f"p{k}", text, " ".join(label.notation() for label in path_labels(p)))
-        for k, p in enumerate(enum.paths)
+        for k, p in enumerate(islice(iter_paths(lattice), paths))
     ]
 
 

@@ -5,7 +5,7 @@ tagging, per-grammar verdicts, combination effects, and filtering."""
 from locgram import accepts, build_initial_lattice, classify, fixtures, tokenize, union
 from locgram.cli import alternative_listing
 from locgram.engine import filter as filter_lattice, parse_tag_sequence, resolve_tag_sequence
-from locgram.lattice import enumerate_paths, minimize
+from locgram.lattice import count_paths, minimize
 
 
 def lattice_for(text, lexicon):
@@ -78,8 +78,8 @@ def main():
     text = "Cela vient de ce que je ne me le suis pas fait confirmer aussitôt"
     l = lattice_for(text, lexicon)
     filtered = filter_lattice(grammars["de-ce-que-chain"], l)
-    before = len(enumerate_paths(l).paths)
-    after = len(enumerate_paths(minimize(filtered)).paths)
+    before = count_paths(l)
+    after = count_paths(minimize(filtered))
     print(f"  {text}")
     print(f"  taggings before: {before}, after: {after}")
 

@@ -45,7 +45,9 @@ from .lattice import (
     DEFAULT_PATH_LIMIT,
     Edge,
     Lattice,
-    enumerate_paths,
+    all_paths,
+    count_paths,
+    iter_paths,
     language,
     language_equal,
     minimize,

@@ -10,11 +10,11 @@ and transitions grows or shrinks independently.
 Every lattice is in one canonical form: it keeps exactly the edges on
 some initial-to-final path, its states are numbered in a deterministic
 topological order, and its edges are sorted by ``(src, dst,
-label.sort_key)``.  So every state of a lattice other than its initial
-and final states lies on a path, what is computed over a lattice (the
-engine's matchable index, ``minimize``) sees only admitted taggings, and
-state ``q``'s edges are one contiguous run of ``edges``.  Three
-constructors make it, each relying on what its caller guarantees:
+label.sort_key)``.  So every state but the initial and final ones lies
+on a path, the engine's matchable index and ``minimize`` see only
+admitted taggings, state ``q``'s edges are one contiguous run of
+``edges``, and one pass over them counts the paths (``count_paths``).
+Three constructors make it, each relying on what its caller guarantees:
 
 * ``Lattice.build`` takes any hashable states and any edges.  It drops
   the dead ones, numbers the states by Kahn's order over the states in
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import accumulate, chain, pairwise
 from operator import itemgetter
-from typing import Hashable, Iterable, NamedTuple, Sequence
+from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import EnumerationOverflow, LatticeFormatError
 from .tags import EdgeLabel, Separator, parse_complete_tag
@@ -59,12 +59,6 @@ class Edge(NamedTuple):
 _as_edge = partial(tuple.__new__, Edge)
 
 Path = tuple  # consecutive edges from the initial to the final state
-
-
-@dataclass(frozen=True)
-class PathEnumeration:
-    paths: tuple[Path, ...]
-    truncated: bool
 
 
 @dataclass(frozen=True)
@@ -183,39 +177,44 @@ def path_labels(path: Sequence[Edge]) -> tuple[EdgeLabel, ...]:
     return tuple(e.label for e in path)
 
 
-def enumerate_paths(l: Lattice, limit: int = DEFAULT_PATH_LIMIT) -> PathEnumeration:
-    """All initial-to-final paths in lexicographic edge order, truncated at
-    ``limit`` with the overflow flag set.  Depth-first with an explicit
-    stack, so path length is not bounded by the recursion limit."""
-    if limit <= 0:
-        raise ValueError("limit must be positive")
+def count_paths(l: Lattice) -> int:
+    """The number of initial-to-final paths, not taggings (parallel
+    duplicate edges count twice), by one forward pass with Python ints.
+    Exact because ``l`` is canonical: its states are numbered in
+    topological order and its edges sorted by source."""
+    ways = [0] * l.n_states
+    ways[l.initial] = 1
+    for src, dst, _ in l.edges:
+        ways[dst] += ways[src]
+    return ways[l.final]
+
+
+def iter_paths(l: Lattice) -> Iterator[Path]:
+    """Every initial-to-final path in lexicographic edge order, depth
+    first with an explicit stack: no recursion limit bounds its length."""
     by_source = l.edges_by_source
-    paths: list[Path] = [()] if l.initial == l.final else []
+    if l.initial == l.final:
+        yield ()
     path: list[Edge] = []
     pending = [iter(by_source[l.initial])]  # per state on the path: edges not yet taken
     while pending:
         e = next(pending[-1], None)
         if e is None:
             pending.pop()
-            if path:
-                path.pop()
+            del path[-1:]  # the edge into the exhausted state, if any
             continue
         path.append(e)
         if e.dst == l.final:
-            if len(paths) >= limit:
-                return PathEnumeration(tuple(paths), True)
-            paths.append(tuple(path))
+            yield tuple(path)
         pending.append(iter(by_source[e.dst]))
-    return PathEnumeration(tuple(paths), False)
 
 
 def all_paths(l: Lattice, limit: int = DEFAULT_PATH_LIMIT) -> tuple[Path, ...]:
-    """Every initial-to-final path, in ``enumerate_paths`` order.  Raises
-    ``EnumerationOverflow`` when there are more than ``limit``."""
-    enum = enumerate_paths(l, limit)
-    if enum.truncated:
+    """Every path, in ``iter_paths`` order.  Raises ``EnumerationOverflow``
+    when ``count_paths`` finds more than ``limit``, before enumerating."""
+    if count_paths(l) > limit:
         raise EnumerationOverflow(f"more than {limit} paths")
-    return enum.paths
+    return tuple(iter_paths(l))
 
 
 def language(l: Lattice, limit: int = DEFAULT_PATH_LIMIT) -> frozenset:

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .grammar import GrammarClass, LocalGrammar, classify, load_grammar
-from .lattice import Lattice, _co_reachable, _reachable, enumerate_paths
+from .lattice import Lattice, _co_reachable, _reachable, count_paths
 from .lexicon import Lexicon, build_initial_lattice, load_lexicon, tokenize
 
 _SURFACES = ["ga", "bo", "ti", "ra", "mu", "ze", "ko", "da", "fe", "lu"]
@@ -181,6 +181,5 @@ def random_instance(
         grammar = random_grammar(rng, lexicon, mode, max_states)
         text = random_sentence(rng, lexicon, max_tokens)
         lattice = build_initial_lattice(tokenize(text), lexicon)
-        enum = enumerate_paths(lattice, path_cap)
-        if not enum.truncated:
+        if count_paths(lattice) <= path_cap:
             return Instance(lexicon, text, grammar, lattice)

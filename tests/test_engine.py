@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +27,9 @@ from locgram.grammar import load_grammar
 from locgram.lexicon import TokenKind, compound_matches, expand_entry, load_lexicon
 from locgram.lattice import (
     Lattice,
-    enumerate_paths,
+    all_paths,
+    count_paths,
+    iter_paths,
     language,
     language_equal,
     minimize,
@@ -191,9 +194,9 @@ class TestAccepts:
         )
         a, b, c = (parse_complete_tag(text, CATS) for text in ("<a N>", "<b V>", "<c N>"))
         l = Lattice.build(0, 2, [(0, 1, a), (1, 2, b), (0, 3, c)])
-        (p,) = enumerate_paths(l).paths
+        (p,) = all_paths(l)
         assert accepts(g, p, l)
-        assert len(enumerate_paths(filter_lattice(g, l)).paths) == 1
+        assert len(all_paths(filter_lattice(g, l))) == 1
         assert language_equal(filter_oracle(g, l), l)
 
 
@@ -228,7 +231,7 @@ class TestWitnessValidity:
         members = list(grammars.values())
         accepted = 0
         for l in lattices.values():
-            paths = enumerate_paths(l).paths
+            paths = all_paths(l)
             for g in members + [union(members)]:
                 for p in paths:
                     d = decompose(g, p, l)
@@ -244,7 +247,7 @@ class TestWitnessValidity:
         for _ in range(150):
             inst = random_instance(rng, mode=mode)
             g, l = inst.grammar, inst.lattice
-            for p in enumerate_paths(l, 200).paths[:30]:
+            for p in islice(iter_paths(l), 30):
                 d = decompose(g, p, l)
                 if d is not None:
                     accepted += 1
@@ -272,7 +275,7 @@ class TestSpecialCaseRules:
 
     def test_case_a_all_free_when_no_surface_matches(self, grammars, lexicon):
         l = build_initial_lattice(tokenize("pas"), lexicon)
-        for p in enumerate_paths(l).paths:
+        for p in all_paths(l):
             assert accepts_case_a(grammars["ne-lui"], p, l)
 
     def test_case_b_on_inversion(self, grammars, lattices, find_path):
@@ -284,7 +287,7 @@ class TestSpecialCaseRules:
         from locgram.grammar import GrammarClass, classify
 
         for key, l in lattices.items():
-            paths = enumerate_paths(l, 300).paths[:40]
+            paths = list(islice(iter_paths(l), 40))
             for g in grammars.values():
                 cls = classify(g)
                 for p in paths:
@@ -524,7 +527,7 @@ class TestMaskTables:
 
     def test_filter_oracle_masks_each_edge_once(self, grammars, lattices, mask_calls):
         l = lattices["confirm-chain"]
-        assert len(enumerate_paths(l).paths) > 1000
+        assert count_paths(l) > 1000
         filter_oracle(grammars["de-ce-que-chain"], l)
         assert 0 < len(mask_calls) <= 2 * len(l.edges)
 
@@ -539,7 +542,7 @@ class TestMaskTables:
         # a lattice of its own, so no earlier test has met this pair
         l = build_initial_lattice(tokenize(SENTENCES["confirm-chain"]), lexicon)
         g = grammars["de-ce-que-chain"]
-        paths = enumerate_paths(l).paths
+        paths = all_paths(l)
         assert len(paths) > 1000
         for p in paths:
             assert accepts(g, p, l) == accepts_case_a(g, p, l) == accepts_case_b(g, p, l)

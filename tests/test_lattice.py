@@ -1,16 +1,20 @@
 import json
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, strategies as st
 
+from locgram import build_initial_lattice, lattice as lattice_module, load_lexicon, tokenize, union
 from locgram.engine import _trie_lattice, filter as filter_lattice, filter_oracle
 from locgram.errors import EnumerationOverflow, LatticeFormatError
+from locgram.grammar import load_grammar
 from locgram.lattice import (
     Lattice,
     all_paths,
-    enumerate_paths,
+    count_paths,
     from_json,
+    iter_paths,
     language,
     language_equal,
     minimize,
@@ -18,9 +22,10 @@ from locgram.lattice import (
     to_dot,
     to_json,
 )
+from locgram.lexicon import TokenKind, compound_matches, expand_entry
 from locgram.randgen import random_instance
 from locgram.tags import Category, CompleteTag, Separator, parse_complete_tag
-from conftest import assert_live, renamed, union_lattice
+from conftest import LONG_TEXT, SENTENCES, assert_live, renamed, union_lattice
 
 CATS = ("V", "N", "A", "ADV", "PRO", "DET", "PREP", "CNJS", "CNJC", "XI", "INT")
 
@@ -50,27 +55,24 @@ def test_build_renumbers_topologically():
 class TestEnumeratePaths:
     def test_single_edge(self):
         l = Lattice.build(0, 1, [(0, 1, A)])
-        enum = enumerate_paths(l)
-        assert len(enum.paths) == 1
-        assert not enum.truncated
+        assert len(all_paths(l)) == count_paths(l) == 1
 
     def test_limit_sets_flag(self):
         l = Lattice.build(0, 1, [(0, 1, A), (0, 1, B), (0, 1, C)])
-        enum = enumerate_paths(l, limit=2)
-        assert len(enum.paths) == 2
-        assert enum.truncated
+        with pytest.raises(EnumerationOverflow, match="more than 2 paths"):
+            all_paths(l, limit=2)
+        assert len(all_paths(l, limit=3)) == 3
 
     def test_lexicographic_order(self):
         l = Lattice.build(0, 1, [(0, 1, B), (0, 1, A)])
-        enum = enumerate_paths(l)
-        assert [path_labels(p)[0] for p in enum.paths] == [A, B]
+        assert [path_labels(p)[0] for p in iter_paths(l)] == [A, B]
 
     def test_long_sentence_within_recursion_limit(self, long_lattice, default_recursion_limit):
         l = long_lattice
-        enum = enumerate_paths(l, 10)
-        assert enum.truncated
-        assert len(set(enum.paths)) == 10
-        for p in enum.paths:
+        paths = list(islice(iter_paths(l), 10))
+        assert count_paths(l) > 10
+        assert len(set(paths)) == 10
+        for p in paths:
             assert p[0].src == l.initial and p[-1].dst == l.final
             assert all(a.dst == b.src for a, b in zip(p, p[1:]))
         # the first path takes the first edge out of every state it meets
@@ -78,7 +80,7 @@ class TestEnumeratePaths:
         while q != l.final:
             first.append(l.edges_by_source[q][0])
             q = first[-1].dst
-        assert enum.paths[0] == tuple(first)
+        assert paths[0] == tuple(first)
 
     def test_railway_contains_both_readings(self, lattices):
         langs = language(lattices["railway"])
@@ -124,6 +126,87 @@ def raw_edge_lists(draw):
     elif attach == "out":
         edges.append((cycle[1], draw(states), draw(labels)))
     return 0, final, draw(st.permutations(edges))
+
+
+def _token_path_count(text, lexicon):
+    """The number of paths of ``text``'s initial lattice, by a dynamic
+    program over token positions read from the lexicon alone: each token's
+    analyses lead one position on, each compound's analyses to its end."""
+    tokens = tokenize(text)
+    ways = [1] + [0] * len(tokens)
+    for i, token in enumerate(tokens):
+        if token.kind is TokenKind.SEPARATOR:  # one edge, the separator itself
+            ways[i + 1] += ways[i]
+            continue
+        ways[i + 1] += ways[i] * len(lexicon.lookup(token.lookup))
+        for entry in compound_matches(tokens, i, lexicon):
+            ways[i + len(entry.surface_tokens)] += ways[i] * len(expand_entry(entry))
+    return ways[-1]
+
+
+class TestCountPaths:
+    def test_equals_enumeration_on_fixtures(self, lattices, grammars):
+        members = list(grammars.values())
+        for key, l in lattices.items():
+            for f in [l, *(filter_lattice(g, l) for g in [*members, union(members)])]:
+                for x in (f, minimize(f)):
+                    assert count_paths(x) == len(all_paths(x)), key
+
+    @pytest.mark.parametrize("mode", ["general", "simple", "oii"])
+    def test_equals_enumeration_on_random_instances(self, mode):
+        rng = random.Random(13)
+        for _ in range(150):
+            l = random_instance(rng, mode=mode).lattice
+            assert count_paths(l) == len(all_paths(l))
+
+    def test_long_text_matches_token_count(self, long_lattice, lexicon, default_recursion_limit):
+        assert count_paths(long_lattice) == _token_path_count(LONG_TEXT, lexicon)
+
+    def test_fixtures_match_token_count(self, lattices, lexicon):
+        for key, l in lattices.items():
+            assert count_paths(l) == _token_path_count(SENTENCES[key], lexicon), key
+
+    def test_empty_text_and_empty_language(self, lexicon):
+        assert count_paths(build_initial_lattice([], lexicon)) == 1
+        g = load_grammar(
+            json.dumps(
+                {
+                    "name": "il-noun",
+                    "states": [0, 1],
+                    "initial": 0,
+                    "finals": [1],
+                    "transitions": [{"from": 0, "to": 1, "in": "il", "out": "<N>"}],
+                }
+            ),
+            CATS,
+        )
+        filtered = filter_lattice(g, build_initial_lattice(tokenize("Il traverse"), lexicon))
+        assert filtered.is_empty_language()
+        assert count_paths(filtered) == 0
+
+    def test_counts_paths_not_taggings(self, categories):
+        # identical lines are dropped, but overlapping ones give one
+        # tagging twice: two parallel edges with the same label
+        lexicon = load_lexicon(["vient,venir.V:P3s", "vient,venir.V:P3s:P3p"], categories)
+        l = build_initial_lattice(tokenize("vient"), lexicon)
+        assert count_paths(l) == 3
+        assert len(language(l)) == count_paths(minimize(l)) == 2
+
+
+class TestOverflow:
+    def test_found_before_enumerating(self, long_lattice, monkeypatch):
+        def fail(l):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setattr(lattice_module, "iter_paths", fail)
+        with pytest.raises(EnumerationOverflow, match="more than 10 paths"):
+            all_paths(long_lattice, 10)
+
+    def test_limit_equal_to_count_returns_every_path(self, lattices):
+        l = lattices["confirm-chain"]
+        paths = all_paths(l, count_paths(l))
+        assert paths == tuple(iter_paths(l))
+        assert len(set(paths)) == count_paths(l)
 
 
 class TestTrim:
@@ -182,8 +265,7 @@ class TestMinimize:
         l = Lattice.build(0, 2, [(0, 1, A), (0, 1, A), (1, 2, B)])
         m = minimize(l)
         assert language(m) == language(l)
-        enum = enumerate_paths(m)
-        assert len(enum.paths) == 1
+        assert len(all_paths(m)) == 1
 
     def test_language_preserved_on_fixtures(self, lattices):
         for key, l in lattices.items():

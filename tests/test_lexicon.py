@@ -1,8 +1,10 @@
+from itertools import islice
+
 import pytest
 
 from locgram import build_initial_lattice, tokenize
 from locgram.errors import LexiconFormatError, UnknownWordError
-from locgram.lattice import enumerate_paths
+from locgram.lattice import all_paths, count_paths, iter_paths
 from locgram.lexicon import TokenKind, load_categories, load_lexicon
 from locgram.tags import Separator
 from conftest import SENTENCES
@@ -158,8 +160,7 @@ class TestBuildInitialLattice:
         l = build_initial_lattice([], lexicon)
         assert l.n_states == 1
         assert l.initial == l.final
-        enum = enumerate_paths(l)
-        assert [p for p in enum.paths] == [()]
+        assert list(iter_paths(l)) == [()]
 
     def test_path_surfaces_reproduce_tokens(self, lexicon, lattices):
         from conftest import SENTENCES
@@ -169,8 +170,7 @@ class TestBuildInitialLattice:
         for key, text in SENTENCES.items():
             tokens = tokenize(text)
             expected = [t.lookup for t in tokens]
-            enum = enumerate_paths(lattices[key])
-            for path in enum.paths[:50]:
+            for path in islice(iter_paths(lattices[key]), 50):
                 flat = [
                     piece
                     for e in path
@@ -190,9 +190,8 @@ class TestBuildInitialLattice:
         for c in counts[:-3]:
             prefix *= c
         expected = simple + prefix  # one compound alternative over the tail
-        enum = enumerate_paths(lattices["moment"])
-        assert not enum.truncated
-        assert len(enum.paths) == expected
+        l = lattices["moment"]
+        assert len(all_paths(l)) == count_paths(l) == expected
 
     def test_compounds_do_not_cross_separators(self, lexicon):
         l = build_initial_lattice(tokenize("sur , le moment"), lexicon)

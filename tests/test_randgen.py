@@ -2,7 +2,7 @@ import random
 
 from locgram import fixtures
 from locgram.grammar import GrammarClass, classify
-from locgram.lattice import enumerate_paths
+from locgram.lattice import count_paths
 from locgram.randgen import random_instance
 
 
@@ -28,7 +28,7 @@ def test_lattices_stay_under_the_path_cap():
     rng = random.Random(5)
     for _ in range(20):
         inst = random_instance(rng, path_cap=500)
-        assert not enumerate_paths(inst.lattice, 500).truncated
+        assert count_paths(inst.lattice) <= 500
 
 
 def test_bundled_grammars_all_load():
@@ -44,3 +44,14 @@ def test_bundled_grammars_all_load():
     for name in fixtures.GRAMMAR_FILES:
         grammar = fixtures.grammar(name)
         assert grammar.name == name
+
+
+def test_path_cap_keeps_a_draw_with_exactly_that_many_paths():
+    first = random_instance(random.Random(0))
+    c = count_paths(first.lattice)
+    assert c > 1
+    kept = random_instance(random.Random(0), path_cap=c)
+    assert (kept.text, kept.lattice) == (first.text, first.lattice)
+    redrawn = random_instance(random.Random(0), path_cap=c - 1)
+    assert redrawn.text != first.text
+    assert count_paths(redrawn.lattice) < c
