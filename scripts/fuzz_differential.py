@@ -5,7 +5,10 @@ general rule's verdict on each of the first paths of an instance must agree
 with membership in the filtered language (``--mode general``) or with the
 restricted rule whose precondition holds (``simple``, ``oii``).  In
 ``general`` mode, ``language_equal`` must also agree with the enumerated
-languages on filter against oracle and filter against input."""
+languages on filter against oracle and filter against input.  In every
+mode, ``minimize`` of each instance's lattice and of its filtered lattice
+must keep the language, be deterministic, and equal ``minimize`` of the
+same lattice rebuilt by ``Lattice.build`` over other state names."""
 
 import argparse
 import random
@@ -19,8 +22,17 @@ from locgram.engine import (
     filter as filter_lattice,
     filter_oracle,
 )
-from locgram.lattice import iter_paths, language, language_equal, path_labels
+from locgram.lattice import Lattice, iter_paths, language, language_equal, minimize, path_labels
 from locgram.randgen import random_instance
+
+
+def minimize_ok(l):
+    m = minimize(l)
+    rebuilt = Lattice.build(
+        ("q", l.initial), ("q", l.final), [(("q", e.src), ("q", e.dst), e.label) for e in reversed(l.edges)]
+    )
+    deterministic = len({(e.src, e.label.sort_key) for e in m.edges}) == len(m.edges)
+    return language(m) == language(l) and deterministic and m == minimize(rebuilt)
 
 
 def main():
@@ -36,6 +48,10 @@ def main():
         inst = random_instance(rng, mode=args.mode)
         g, l = inst.grammar, inst.lattice
         paths = list(islice(iter_paths(l), args.paths_per_instance))
+        if not (minimize_ok(l) and minimize_ok(filter_lattice(g, l))):
+            print(f"MINIMIZE seed={args.seed} trial={trial} text={inst.text!r}")
+            print(f"grammar: {g}")
+            return 1
         if args.mode == "general":
             f, o = filter_lattice(g, l), filter_oracle(g, l)
             accepted, full = language(f), language(l)

@@ -26,6 +26,10 @@ bitmask of the transitions it can satisfy, bit ``i`` for
 ``transitions[i]``; ``tags.conforms`` stays the reference predicate they
 must agree with.  Each step of a matched portion is then one ``&`` of
 the edge's output mask, its span's input mask and the transition's bit.
+A table keeps each label's mask (``ConformityTable.masks``), keyed by
+``sort_key``, for the grammar's lifetime: at most one entry per distinct
+label the grammar has met.  So the mask work of a call depends on the
+calls before it, and a lattice of labels already met costs no ``mask``.
 
 One holder, ``_Tables``, keeps the tables of a lattice and grammar,
 each built on first use: the per-edge input and output masks, witness
@@ -38,8 +42,7 @@ holder.  The engine keeps one slot, the holder of the last pair, matched
 by identity, never by hash, which would hash every label: checking many
 paths of one lattice builds its tables once, and at most one lattice's
 tables outlive a call.  A cache on the lattice would keep tables for
-every grammar it meets, and make the work of a call depend on the calls
-before it.
+every grammar it meets.
 
 A path's verdict, its witness and a rejected path's silence span come
 from one forward walk over its positions, ``_walk``.  Every walk is
@@ -57,7 +60,7 @@ from typing import Iterable, Sequence
 
 from .errors import CorpusFormatError, TagFormatError, UnknownWordError
 from .grammar import GrammarClass, LocalGrammar, classify
-from .lattice import DEFAULT_PATH_LIMIT, Edge, Lattice, Path, _co_reachable, all_paths, path_labels
+from .lattice import DEFAULT_PATH_LIMIT, Edge, Lattice, Path, all_paths, path_labels
 from .lexicon import Lexicon, build_initial_lattice, tokenize
 from .tags import EdgeLabel, Separator, parse_complete_tag
 
@@ -103,11 +106,11 @@ class _Tables:
 
     @cached_property
     def inputs(self) -> list[int]:
-        return list(map(self.g.compiled.inputs.mask, map(_label, self.l.edges)))
+        return self.g.compiled.inputs.masks(map(_label, self.l.edges))
 
     @cached_property
     def outputs(self) -> list[int]:
-        return list(map(self.g.compiled.outputs.mask, map(_label, self.l.edges)))
+        return self.g.compiled.outputs.masks(map(_label, self.l.edges))
 
     @cached_property
     def index(self) -> MatchableIndex:
@@ -177,14 +180,17 @@ def _match_index(l: Lattice, g: LocalGrammar, masks: list[int]) -> MatchableInde
     edges, starts = l.edges, l._starts
     lands = [0] * l.n_states
     live = [0] * l.n_states  # per state: the transitions some path out of it can take
+    lands_of: dict[int, int] = {}  # ``lands`` as a function of ``live``, per value met
     for q in range(l.n_states - 1, -1, -1):
         bits = 0
         for i in range(starts[q], starts[q + 1]):
             bits |= masks[i] & lands[edges[i].dst]
         live[q] = bits
-        lands[q] = reduce(
-            or_, (in_bits for out_bits, in_bits in non_final if out_bits & bits), lands_final
-        )
+        lands[q] = lands_of.get(bits)
+        if lands[q] is None:
+            lands[q] = lands_of[bits] = reduce(
+                or_, (in_bits for out_bits, in_bits in non_final if out_bits & bits), lands_final
+            )
     if g.initial in g.finals:
         return dict.fromkeys(range(l.n_states), True)
     start = leaving[g.initial]
@@ -283,9 +289,9 @@ def filter(g: LocalGrammar, l: Lattice) -> Lattice:
     state; free moves need an unmatchable source state, portion moves
     follow the transducer checking outputs against the edge and inputs
     against same-span edges of the original lattice.  One backward pass
-    from the goal drops the product edges on no start-to-goal path, in
-    their order, and ``Lattice._from_live`` numbers the rest as
-    ``Lattice.build`` would.  An empty result is permitted; callers can
+    from the goal, over int lists, drops the product edges on no
+    start-to-goal path, in their order, and ``Lattice._from_live`` numbers
+    the rest as ``Lattice.build`` would.  An empty result is permitted; callers can
     test ``is_empty_language``.
     """
     t = _tables(l, g)
@@ -326,8 +332,16 @@ def filter(g: LocalGrammar, l: Lattice) -> Lattice:
     # edges that share ``(src, dst)`` come from one lattice span, in its
     # edges' order, which is ``sort_key`` order.
     goal = number.get((l.final, _FREE), len(states))
-    live = _co_reachable((goal,), product_edges)
-    return Lattice._from_live(0, goal, [e for e in product_edges if e[1] in live])
+    sources: list[list[int]] = [[] for _ in range(len(states) + 1)]
+    for src, dst, _ in product_edges:
+        sources[dst].append(src)
+    live, stack = [False] * len(sources), [goal]
+    while stack:
+        q = stack.pop()
+        if not live[q]:
+            live[q] = True
+            stack += sources[q]
+    return Lattice._from_live(0, goal, [e for e in product_edges if live[e[1]]])
 
 
 def filter_oracle(g: LocalGrammar, l: Lattice, limit: int = DEFAULT_PATH_LIMIT) -> Lattice:

@@ -20,10 +20,12 @@ Three constructors make it, each relying on what its caller guarantees:
   the dead ones, numbers the states by Kahn's order over the states in
   order of first appearance, and sorts by the key above.  Reading JSON,
   the oracle's trie and random instances use it.
-* ``Lattice._from_live`` takes int states with no dead edge, whose edges
-  that share ``(src, dst)`` arrive in ``sort_key`` order.  It numbers the
-  states as ``build`` does and sorts stably on ``(src, dst)`` alone.
-  ``engine.filter`` and ``minimize`` use it.
+* ``Lattice._from_live`` takes int states from a small range with no dead
+  edge, whose edges that share ``(src, dst)`` arrive in ``sort_key``
+  order.  The initial state is then the one source, so Kahn's order from
+  it alone, over per-state lists, is ``build``'s numbering whatever the
+  ids are.  It sorts stably on ``(src, dst)`` alone.  ``engine.filter``
+  and ``minimize`` use it.
 * The dataclass constructor itself takes a lattice already in canonical
   form.  ``build_initial_lattice`` uses it: its states are the token
   boundaries, which the chain of tokens numbers ``0..n`` in the only
@@ -39,7 +41,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import accumulate, chain, pairwise
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import EnumerationOverflow, LatticeFormatError
@@ -57,6 +59,7 @@ class Edge(NamedTuple):
 # ``Edge(*triple)`` without the Python-level ``Edge.__new__``, for the
 # thousands of edges a lattice is made of
 _as_edge = partial(tuple.__new__, Edge)
+_sort_key = attrgetter("sort_key")
 
 Path = tuple  # consecutive edges from the initial to the final state
 
@@ -109,15 +112,22 @@ class Lattice:
 
     @classmethod
     def _from_live(cls, initial: int, final: int, edges: list[tuple]) -> "Lattice":
-        """What ``build`` makes of ``edges``, for int states, when every edge
-        lies on an initial-to-final path and edges that share ``(src, dst)``
-        come in ``sort_key`` order: a stable sort on ``(src, dst)`` then puts
-        them in ``build``'s order without comparing labels."""
-        number = _numbering(initial, final, edges)
-        n = len(number)
-        renumbered = [(number[src], number[dst], label) for src, dst, label in edges]
+        """What ``build`` makes of ``edges`` under the preconditions in the
+        module docstring: Kahn's order from ``initial`` numbers the states,
+        and a stable sort on ``(src, dst)`` puts the edges in ``build``'s
+        order without comparing labels."""
+        if not edges:
+            return cls(1 if initial == final else 2, 0, int(initial != final), ())
+        successors: list[list[int]] = [[] for _ in range(max(initial, *map(itemgetter(1), edges)) + 1)]
+        for src, dst, _ in edges:
+            successors[src].append(dst)
+        order = _topological_order(successors, [initial])
+        rank, n = [0] * len(successors), len(order)
+        for r, q in enumerate(order):
+            rank[q] = r
+        renumbered = [(rank[src], rank[dst], label) for src, dst, label in edges]
         renumbered.sort(key=lambda e: e[0] * n + e[1])
-        return cls(n, number[initial], number[final], tuple(map(_as_edge, renumbered)))
+        return cls(n, 0, rank[final], tuple(map(_as_edge, renumbered)))
 
     @cached_property
     def _starts(self) -> list[int]:
@@ -245,103 +255,93 @@ def minimize(l: Lattice) -> Lattice:
 
     The result is canonical: lattices with the same language give equal
     results.  The minimal acyclic DFA is unique (Revuz 1992), and its
-    numbering is fixed: subsets are found breadth-first in label order, so
-    each class first appears at its shortlex-least word; edges are emitted
-    per class in that order, so a class's edges are in label order, as
-    ``Lattice._from_live`` needs; it numbers from that alone.
+    numbering is fixed: each class's edges are emitted once, in label
+    order, and ``Lattice._from_live`` numbers the classes by Kahn's pass
+    from the initial class, which depends on nothing else.
 
-    The construction runs on ints.  Labels are numbered in order of first
-    appearance, one number per ``sort_key``; each state's moves are its
-    ``(sort_key, label number, dst)`` triples, sorted once; a subset is a
-    sorted tuple of states.  A singleton whose state has no two moves on
-    one label, as in most of a filtered lattice, takes its moves as they
-    are; any other subset groups its moves by label.  Either way a subset
-    gets the same moves, in label order, so subsets are discovered, and
-    numbered, as stated above.  Label order matters only among one
-    subset's moves, so no global sort of the labels is needed.
+    The construction runs on ints.  A subset is found from the initial
+    state, breadth first; a singleton is its state's own id, and a subset
+    of several states, which only moves that share a label make, gets the
+    next id from ``n_states`` up.  A singleton whose state has no two moves
+    on one label, as in most of a filtered lattice, takes its moves as they
+    are, sorted by label; any other subset groups its members' moves by
+    label.  Classes are then assigned in descending order of each subset's
+    smallest member.  ``l``'s states are numbered in topological order, so
+    every successor of a subset has a larger smallest member: this order
+    is reverse topological, and a subset's targets have their classes
+    before its signature, its ``(label, class)`` moves, is read.  The one
+    empty signature is the final class's.
     """
     if l.is_empty_language():
         return l
+    n, edges, starts = l.n_states, l.edges, l._starts
+    keys = list(map(_sort_key, map(itemgetter(2), edges)))
+    members: list[tuple[int, ...]] = []  # per subset id from n up: its sorted states
+    subset_id: dict[tuple[int, ...], int] = {}
+    outgoing: list[list | None] = [None] * n  # per subset reached: (edge, subset), by label
+    queue = [l.initial]
+    for s in queue:  # extended as it is walked
+        out = None
+        if s < n:
+            run = range(starts[s], starts[s + 1])
+            if len(run) > 1:
+                run = sorted(run, key=keys.__getitem__)
+            if len(set(map(keys.__getitem__, run))) == len(run):
+                out = [(i, edges[i][1]) for i in run]
+        if out is None:
+            grouped: dict[tuple, tuple[int, set[int]]] = {}
+            for q in members[s - n] if s >= n else (s,):
+                for i in range(starts[q], starts[q + 1]):
+                    grouped.setdefault(keys[i], (i, set()))[1].add(edges[i][1])
+            if s >= n and l.final in members[s - n]:
+                raise LatticeFormatError("path label set is not prefix-free; cannot keep a single final state")
+            out = []
+            for key in sorted(grouped):
+                i, targets = grouped[key]
+                if len(targets) > 1:
+                    target = tuple(sorted(targets))
+                    if target not in subset_id:
+                        subset_id[target] = n + len(members)
+                        members.append(target)
+                        outgoing.append(None)
+                    out.append((i, subset_id[target]))
+                else:
+                    out.append((i, *targets))  # a singleton: its state's id
+        outgoing[s] = out
+        for _, t in out:
+            if outgoing[t] is None:
+                outgoing[t] = []  # queued
+                queue.append(t)
 
-    labels: list[EdgeLabel] = []
-    label_number: dict[tuple, int] = {}
-    state_moves: list[list[tuple]] = [[] for _ in range(l.n_states)]
-    for src, dst, label in l.edges:
-        key = label.sort_key
-        i = label_number.get(key)
-        if i is None:
-            i = label_number[key] = len(labels)
-            labels.append(label)
-        state_moves[src].append((key, i, dst))
-    for moves in state_moves:
-        moves.sort()
-
-    # Subset construction; subsets are numbered in discovery order, and
-    # ``subsets`` is also the breadth-first worklist, extended as it is walked.
-    subsets = [(l.initial,)]
-    number = {subsets[0]: 0}
-    outgoing: list[list[tuple[int, int]]] = []  # per subset: (label, subset) in label order
-    for subset in subsets:
-        moves = state_moves[subset[0]]
-        if len(subset) == 1 and len({i for _, i, _ in moves}) == len(moves):
-            targets = [(i, (dst,)) for _, i, dst in moves]
-        else:
-            grouped: dict[tuple, set[int]] = {}
-            for q in subset:
-                for key, i, dst in state_moves[q]:
-                    grouped.setdefault((key, i), set()).add(dst)
-            targets = [(i, tuple(sorted(grouped[key, i]))) for key, i in sorted(grouped)]
-        out = []
-        for i, target in targets:
-            t = number.get(target)
-            if t is None:
-                t = number[target] = len(subsets)
-                subsets.append(target)
-            out.append((i, t))
-        outgoing.append(out)
-
-    # Merge bottom-up: subsets with equal finality and identical outgoing
-    # signatures (after merging their targets) fall in one class.  Each
-    # outgoing list is already in label order, one edge per label, so the
-    # signature needs no sorting.
-    is_final = [l.final in s for s in subsets]
-    state_class = [0] * len(subsets)
+    smallest = [*range(n), *(m[0] for m in members)]
+    state_class = [0] * len(outgoing)
     classes: dict[tuple, int] = {}
-    for s in reversed(_topological_order([[t for _, t in out] for out in outgoing])):
-        signature = (is_final[s], tuple((i, state_class[t]) for i, t in outgoing[s]))
-        state_class[s] = classes.setdefault(signature, len(classes))
-
-    if len({c for c, final in zip(state_class, is_final) if final}) != 1 or any(
-        out for out, final in zip(outgoing, is_final) if final
-    ):
-        raise LatticeFormatError("path label set is not prefix-free; cannot keep a single final state")
-    # The members of a class have the same outgoing edges: take them from
-    # the first member discovered.
-    merged = []
-    emitted = set()
-    for s, out in enumerate(outgoing):
-        c = state_class[s]
-        if c not in emitted:
-            emitted.add(c)
-            merged.extend((c, state_class[t], labels[i]) for i, t in out)
-    return Lattice._from_live(state_class[0], state_class[is_final.index(True)], merged)
+    merged: list[tuple] = []  # each class's edges once, by label
+    for s in sorted(queue, key=smallest.__getitem__, reverse=True):
+        out = outgoing[s]
+        size = len(classes)
+        c = state_class[s] = classes.setdefault(tuple([(keys[i], state_class[t]) for i, t in out]), size)
+        if c == size:  # a new class
+            merged += [(c, state_class[t], edges[i][2]) for i, t in out]
+    return Lattice._from_live(state_class[l.initial], classes[()], merged)
 
 
-def _topological_order(successors: list[list[int]]) -> list[int]:
+def _topological_order(successors: list[list[int]], sources: list[int] | None = None) -> list[int]:
     """Kahn's order of the nodes ``0..n-1`` of a graph given as per-node
-    successor lists: first-in first-out, seeded with the sources in node
-    order.  Raises on cycles."""
+    successor lists: first-in first-out, seeded with ``sources``, by
+    default every node without a predecessor, in node order.  Raises on
+    cycles."""
     indegree = [0] * len(successors)
     for out in successors:
         for t in out:
             indegree[t] += 1
-    order = [s for s, d in enumerate(indegree) if d == 0]
+    order = [s for s, d in enumerate(indegree) if d == 0] if sources is None else sources
     for s in order:  # extended as it is walked
         for t in successors[s]:
             indegree[t] -= 1
             if indegree[t] == 0:
                 order.append(t)
-    if len(order) != len(successors):
+    if any(indegree):
         raise LatticeFormatError("lattice has a cycle")
     return order
 
@@ -363,7 +363,9 @@ def to_dot(l: Lattice) -> str:
     return "\n".join(lines) + "\n"
 
 
-_encode_string = json.JSONEncoder(ensure_ascii=False).encode
+# What ``json.JSONEncoder(ensure_ascii=False).encode`` returns for a string,
+# without the Python frame it takes to get there
+_encode_string = json.encoder.encode_basestring
 
 
 def _json_list(items: list[str]) -> str:

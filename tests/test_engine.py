@@ -29,6 +29,7 @@ from locgram.lattice import (
     Lattice,
     all_paths,
     count_paths,
+    from_json,
     iter_paths,
     language,
     language_equal,
@@ -396,15 +397,15 @@ class TestFilter:
 
     def test_build_makes_no_reachability_pass(self, grammars, lattices, lexicon, reachable_calls):
         # every product state is reached from the start, and filter keeps
-        # only the edges into states that reach the goal: its one backward
-        # pass is the only one, and ``Lattice.build`` takes its fast path
+        # only the edges into states that reach the goal: its own backward
+        # pass, on int lists, is the only one, and no constructor makes one
         named = {**grammars, "union": union(list(grammars.values()))}
         scale = build_initial_lattice(tokenize(SCALE_TEXT), lexicon)
         for key, l in {**lattices, "scale": scale}.items():
             for name, g in named.items():
                 reachable_calls.clear()
                 filter_lattice(g, l)
-                assert reachable_calls == [False], (key, name)
+                assert reachable_calls == [], (key, name)
 
     def test_apply_pipeline_builds_three_lattices(self, grammars, lexicon, build_calls):
         # initial, filtered and minimised: no intermediate rebuilds
@@ -548,6 +549,47 @@ class TestMaskTables:
             assert accepts(g, p, l) == accepts_case_a(g, p, l) == accepts_case_b(g, p, l)
         assert 0 < len(mask_calls) <= 2 * len(l.edges)
 
+
+class TestMaskMemo:
+    """A grammar's conformity tables keep each label's mask across calls,
+    keyed by ``sort_key``."""
+
+    def test_second_lattice_over_the_same_text_makes_no_mask_call(self, grammars, lexicon, mask_calls):
+        g = grammars["ne-verb"]
+        first = filter_lattice(g, build_initial_lattice(tokenize(SENTENCES["tell-him"]), lexicon))
+        assert mask_calls
+        mask_calls.clear()
+        assert filter_lattice(g, build_initial_lattice(tokenize(SENTENCES["tell-him"]), lexicon)) == first
+        assert mask_calls == []
+
+    def test_json_round_trip_makes_no_mask_call(self, grammars, lexicon, mask_calls):
+        # the labels read back are new objects with equal sort keys
+        g = grammars["ne-verb"]
+        l = build_initial_lattice(tokenize(SENTENCES["accounts"]), lexicon)
+        first = filter_lattice(g, l)
+        tables = (g.compiled.inputs, g.compiled.outputs)
+        sizes = [len(table._memo) for table in tables]
+        mask_calls.clear()
+        copy = from_json(to_json(l), lexicon.categories)
+        assert copy == l
+        assert all(a.label is not b.label for a, b in zip(copy.edges, l.edges) if not isinstance(a.label, Separator))
+        assert filter_lattice(g, copy) == first
+        assert mask_calls == []
+        assert [len(table._memo) for table in tables] == sizes
+
+    def test_memoised_masks_equal_mask(self, grammars, lattices, mask_calls):
+        labels = [e.label for l in lattices.values() for e in l.edges]
+        cases = [(g, labels) for g in grammars.values()]
+        rng = random.Random(0)
+        for k in range(60):
+            inst = random_instance(rng, mode=("general", "simple", "oii")[k % 3])
+            cases.append((inst.grammar, [e.label for e in inst.lattice.edges]))
+        for g, labels in cases:
+            for table in (g.compiled.inputs, g.compiled.outputs):
+                expected = [table.mask(label) for label in labels]
+                assert table.masks(labels) == expected  # computed
+                assert table.masks(labels) == expected  # from the memo
+                assert len(table._memo) == len({label.sort_key for label in labels})
 
 class TestLoadCorpus:
     def test_pairs(self):

@@ -38,6 +38,8 @@ A = tag("<pomme N:fs>")
 B = tag("<terre N:fs>")
 C = tag("<cuire V:Kfs>", surface="cuite")
 D = tag("<de PREP>")
+E = tag("<et CNJC>")
+F = tag("<chat N:ms>")
 
 
 def test_build_rejects_cycles():
@@ -332,6 +334,53 @@ class TestMinimize:
             assert len({(e.src, e.label) for e in m.edges}) == len(m.edges), k  # deterministic
             assert m == minimize(l), k  # canonical
         assert shapes == {True, False}
+
+    @staticmethod
+    def assert_minimal(m, l, states):
+        assert language(m) == language(l)
+        assert len({(e.src, e.label) for e in m.edges}) == len(m.edges)  # deterministic
+        assert m.n_states == states
+
+    def test_subset_sharing_its_smallest_member_with_a_singleton(self):
+        # canonically 0 -A-> {1, 4} and 0 -B-> {1}: the subset and the
+        # singleton have the same smallest member, and the subset's C-move
+        # goes to {3}, whose largest member is below the subset's
+        l = Lattice.build("0", "f", [
+            ("0", "1", A), ("0", "x", A), ("0", "1", B), ("0", "g", E),
+            ("g", "x", F), ("1", "2", C), ("2", "f", D), ("x", "f", E),
+        ])
+        assert [(e.src, e.dst) for e in l.edges if e.label == A] == [(0, 1), (0, 4)]
+        m = minimize(l)
+        self.assert_minimal(m, l, 7)
+        # the same language, deterministic from the start
+        dfa = Lattice.build("q", "F", [
+            ("q", "a", A), ("q", "b", B), ("q", "g", E), ("a", "d", C), ("a", "F", E),
+            ("b", "d", C), ("g", "e", F), ("d", "F", D), ("e", "F", E),
+        ])
+        assert m == minimize(dfa)
+
+    def test_nondeterminism_reached_only_through_a_subset(self):
+        # {1, 2} is reached on A; neither 1 nor 2 has two moves on one
+        # label, but together they do: {3, 4} on C exists only as the
+        # subset's target, and on D it reaches {5, 6}
+        l = Lattice.build(0, 9, [
+            (0, 1, A), (0, 2, A), (1, 3, C), (2, 4, C), (2, 7, B),
+            (3, 5, D), (4, 6, D), (5, 9, E), (6, 8, F), (7, 9, B), (8, 9, B),
+        ])
+        m = minimize(l)
+        self.assert_minimal(m, l, 6)
+        dfa = Lattice.build(0, 9, [
+            (0, 1, A), (1, 3, C), (1, 7, B), (3, 5, D), (5, 9, E), (5, 8, F), (7, 9, B), (8, 9, B),
+        ])
+        assert m == minimize(dfa)
+
+    def test_non_prefix_free_dag_rejected_through_a_subset(self):
+        # A B and A B C: the prefix shows only in the subset {2, 3}
+        # reached on A, whose B-move reaches the final state and a state
+        # with a C-move
+        l = Lattice.build(0, 5, [(0, 1, A), (0, 2, A), (1, 5, B), (2, 3, B), (3, 5, C)])
+        with pytest.raises(LatticeFormatError):
+            minimize(l)
 
 
 class TestBuildCount:
