@@ -48,12 +48,13 @@ def main():
         inst = random_instance(rng, mode=args.mode)
         g, l = inst.grammar, inst.lattice
         paths = list(islice(iter_paths(l), args.paths_per_instance))
-        if not (minimize_ok(l) and minimize_ok(filter_lattice(g, l))):
+        f = filter_lattice(g, l)
+        if not (minimize_ok(l) and minimize_ok(f)):
             print(f"MINIMIZE seed={args.seed} trial={trial} text={inst.text!r}")
             print(f"grammar: {g}")
             return 1
         if args.mode == "general":
-            f, o = filter_lattice(g, l), filter_oracle(g, l)
+            o = filter_oracle(g, l)
             accepted, full = language(f), language(l)
             if accepted != language(o):
                 print(f"MISMATCH seed={args.seed} trial={trial} text={inst.text!r}")

@@ -26,10 +26,6 @@ bitmask of the transitions it can satisfy, bit ``i`` for
 ``transitions[i]``; ``tags.conforms`` stays the reference predicate they
 must agree with.  Each step of a matched portion is then one ``&`` of
 the edge's output mask, its span's input mask and the transition's bit.
-A table keeps each label's mask (``ConformityTable.masks``), keyed by
-``sort_key``, for the grammar's lifetime: at most one entry per distinct
-label the grammar has met.  So the mask work of a call depends on the
-calls before it, and a lattice of labels already met costs no ``mask``.
 
 One holder, ``_Tables``, keeps the tables of a lattice and grammar,
 each built on first use: the per-edge input and output masks, witness
@@ -42,7 +38,8 @@ holder.  The engine keeps one slot, the holder of the last pair, matched
 by identity, never by hash, which would hash every label: checking many
 paths of one lattice builds its tables once, and at most one lattice's
 tables outlive a call.  A cache on the lattice would keep tables for
-every grammar it meets.
+every grammar it meets, and make the work of a call depend on the calls
+before it.
 
 A path's verdict, its witness and a rejected path's silence span come
 from one forward walk over its positions, ``_walk``.  Every walk is
@@ -106,11 +103,11 @@ class _Tables:
 
     @cached_property
     def inputs(self) -> list[int]:
-        return self.g.compiled.inputs.masks(map(_label, self.l.edges))
+        return list(map(self.g.compiled.inputs.mask, map(_label, self.l.edges)))
 
     @cached_property
     def outputs(self) -> list[int]:
-        return self.g.compiled.outputs.masks(map(_label, self.l.edges))
+        return list(map(self.g.compiled.outputs.mask, map(_label, self.l.edges)))
 
     @cached_property
     def index(self) -> MatchableIndex:
@@ -332,6 +329,7 @@ def filter(g: LocalGrammar, l: Lattice) -> Lattice:
     # edges that share ``(src, dst)`` come from one lattice span, in its
     # edges' order, which is ``sort_key`` order.
     goal = number.get((l.final, _FREE), len(states))
+    # ``_co_reachable`` on lists: product states are ``0..len(states)``
     sources: list[list[int]] = [[] for _ in range(len(states) + 1)]
     for src, dst, _ in product_edges:
         sources[dst].append(src)

@@ -363,7 +363,6 @@ class ConformityTable:
     """
 
     def __init__(self, patterns: Iterable[IncompleteTag]):
-        self._memo: dict[tuple, int] = {}
         self.separators: dict[str, int] = {}
         self.surfaces: dict[str, int] = {}
         self.any_word = 0
@@ -401,17 +400,6 @@ class ConformityTable:
             if required <= features:
                 bits |= group
         return bits
-
-    def masks(self, labels: Iterable[EdgeLabel]) -> list[int]:
-        """``mask`` of each label, memoised for the table's lifetime by the
-        injective ``sort_key``: one entry per distinct label met."""
-        memo, out = self._memo, []
-        for label in labels:
-            m = memo.get(label.sort_key)
-            if m is None:
-                m = memo[label.sort_key] = self.mask(label)
-            out.append(m)
-        return out
 
 
 def equivalent(a: Sequence[EdgeLabel], b: Sequence[EdgeLabel]) -> bool:

@@ -147,9 +147,8 @@ def reachable_calls(monkeypatch):
 
 
 @pytest.fixture
-def mask_calls(monkeypatch, grammars):
-    """A list that grows by one entry per ``ConformityTable.mask`` call,
-    with the bundled grammars' mask memos empty for the test."""
+def mask_calls(monkeypatch):
+    """A list that grows by one entry per ``ConformityTable.mask`` call."""
     calls = []
     mask = ConformityTable.mask
 
@@ -159,9 +158,6 @@ def mask_calls(monkeypatch, grammars):
 
     monkeypatch.setattr(ConformityTable, "mask", counting)
     monkeypatch.setattr("locgram.engine._Tables.last", None)  # no tables from an earlier test
-    for g in grammars.values():  # no masks from an earlier test
-        monkeypatch.setattr(g.compiled.inputs, "_memo", {})
-        monkeypatch.setattr(g.compiled.outputs, "_memo", {})
     return calls
 
 

@@ -29,7 +29,6 @@ from locgram.lattice import (
     Lattice,
     all_paths,
     count_paths,
-    from_json,
     iter_paths,
     language,
     language_equal,
@@ -549,47 +548,6 @@ class TestMaskTables:
             assert accepts(g, p, l) == accepts_case_a(g, p, l) == accepts_case_b(g, p, l)
         assert 0 < len(mask_calls) <= 2 * len(l.edges)
 
-
-class TestMaskMemo:
-    """A grammar's conformity tables keep each label's mask across calls,
-    keyed by ``sort_key``."""
-
-    def test_second_lattice_over_the_same_text_makes_no_mask_call(self, grammars, lexicon, mask_calls):
-        g = grammars["ne-verb"]
-        first = filter_lattice(g, build_initial_lattice(tokenize(SENTENCES["tell-him"]), lexicon))
-        assert mask_calls
-        mask_calls.clear()
-        assert filter_lattice(g, build_initial_lattice(tokenize(SENTENCES["tell-him"]), lexicon)) == first
-        assert mask_calls == []
-
-    def test_json_round_trip_makes_no_mask_call(self, grammars, lexicon, mask_calls):
-        # the labels read back are new objects with equal sort keys
-        g = grammars["ne-verb"]
-        l = build_initial_lattice(tokenize(SENTENCES["accounts"]), lexicon)
-        first = filter_lattice(g, l)
-        tables = (g.compiled.inputs, g.compiled.outputs)
-        sizes = [len(table._memo) for table in tables]
-        mask_calls.clear()
-        copy = from_json(to_json(l), lexicon.categories)
-        assert copy == l
-        assert all(a.label is not b.label for a, b in zip(copy.edges, l.edges) if not isinstance(a.label, Separator))
-        assert filter_lattice(g, copy) == first
-        assert mask_calls == []
-        assert [len(table._memo) for table in tables] == sizes
-
-    def test_memoised_masks_equal_mask(self, grammars, lattices, mask_calls):
-        labels = [e.label for l in lattices.values() for e in l.edges]
-        cases = [(g, labels) for g in grammars.values()]
-        rng = random.Random(0)
-        for k in range(60):
-            inst = random_instance(rng, mode=("general", "simple", "oii")[k % 3])
-            cases.append((inst.grammar, [e.label for e in inst.lattice.edges]))
-        for g, labels in cases:
-            for table in (g.compiled.inputs, g.compiled.outputs):
-                expected = [table.mask(label) for label in labels]
-                assert table.masks(labels) == expected  # computed
-                assert table.masks(labels) == expected  # from the memo
-                assert len(table._memo) == len({label.sort_key for label in labels})
 
 class TestLoadCorpus:
     def test_pairs(self):
