@@ -57,7 +57,7 @@ from typing import Iterable, Sequence
 
 from .errors import CorpusFormatError, TagFormatError, UnknownWordError
 from .grammar import GrammarClass, LocalGrammar, classify
-from .lattice import DEFAULT_PATH_LIMIT, Edge, Lattice, Path, all_paths, path_labels
+from .lattice import DEFAULT_PATH_LIMIT, Edge, Lattice, Path, _reached, all_paths, path_labels
 from .lexicon import Lexicon, build_initial_lattice, tokenize
 from .tags import EdgeLabel, Separator, parse_complete_tag
 
@@ -285,11 +285,11 @@ def filter(g: LocalGrammar, l: Lattice) -> Lattice:
     (lattice state, mode) where mode is free or an in-portion transducer
     state; free moves need an unmatchable source state, portion moves
     follow the transducer checking outputs against the edge and inputs
-    against same-span edges of the original lattice.  One backward pass
-    from the goal, over int lists, drops the product edges on no
-    start-to-goal path, in their order, and ``Lattice._from_live`` numbers
-    the rest as ``Lattice.build`` would.  An empty result is permitted; callers can
-    test ``is_empty_language``.
+    against same-span edges of the original lattice.  One backward
+    ``_reached`` walk from the goal drops the product edges on no
+    start-to-goal path, and ``Lattice._from_live`` makes the canonical
+    lattice of the rest, in their order.  An empty result is permitted;
+    callers can test ``is_empty_language``.
     """
     t = _tables(l, g)
     index, portion = t.index, t.witness
@@ -329,16 +329,10 @@ def filter(g: LocalGrammar, l: Lattice) -> Lattice:
     # edges that share ``(src, dst)`` come from one lattice span, in its
     # edges' order, which is ``sort_key`` order.
     goal = number.get((l.final, _FREE), len(states))
-    # ``_co_reachable`` on lists: product states are ``0..len(states)``
     sources: list[list[int]] = [[] for _ in range(len(states) + 1)]
     for src, dst, _ in product_edges:
         sources[dst].append(src)
-    live, stack = [False] * len(sources), [goal]
-    while stack:
-        q = stack.pop()
-        if not live[q]:
-            live[q] = True
-            stack += sources[q]
+    live = _reached([goal], sources)
     return Lattice._from_live(0, goal, [e for e in product_edges if live[e[1]]])
 
 

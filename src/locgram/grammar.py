@@ -25,7 +25,7 @@ from functools import cached_property
 from typing import Hashable, Iterable, Sequence
 
 from .errors import GrammarFormatError
-from .lattice import _co_reachable, _reachable
+from .lattice import _reached_both_ways
 from .tags import (
     AnyWord,
     CategoryPattern,
@@ -87,23 +87,22 @@ class GrammarClass(enum.IntEnum):
 
 
 def _validate(g: LocalGrammar) -> LocalGrammar:
-    states = set(g.states)
-    if g.initial not in states:
+    number = {s: i for i, s in enumerate(dict.fromkeys(g.states))}
+    if g.initial not in number:
         raise GrammarFormatError(f"initial state {g.initial!r} not declared")
     if not g.finals:
         raise GrammarFormatError("grammar has no final state")
-    if not g.finals <= states:
+    if not g.finals <= number.keys():
         raise GrammarFormatError("final states must be declared states")
     for t in g.transitions:
-        if t.src not in states or t.dst not in states:
+        if t.src not in number or t.dst not in number:
             raise GrammarFormatError(f"transition endpoint not declared: {t.src!r} -> {t.dst!r}")
-    arcs = [(t.src, t.dst) for t in g.transitions]
-    missing = sorted(map(str, states - _reachable((g.initial,), arcs)))
-    if missing:
-        raise GrammarFormatError(f"unreachable states: {', '.join(missing)}")
-    missing = sorted(map(str, states - _co_reachable(g.finals, arcs)))
-    if missing:
-        raise GrammarFormatError(f"states reaching no final state: {', '.join(missing)}")
+    arcs = [(number[t.src], number[t.dst]) for t in g.transitions]
+    reached = _reached_both_ways(len(number), arcs, [number[g.initial]], map(number.__getitem__, g.finals))
+    for problem, marks in zip(("unreachable states", "states reaching no final state"), reached):
+        missing = sorted(str(s) for s, r in zip(number, marks) if not r)
+        if missing:
+            raise GrammarFormatError(f"{problem}: {', '.join(missing)}")
     return g
 
 
@@ -114,11 +113,11 @@ def load_grammar(text: str, categories: Iterable[str]) -> LocalGrammar:
     except json.JSONDecodeError as exc:
         raise GrammarFormatError(f"invalid JSON: {exc}") from exc
     try:
-        name = doc["name"]
-        states = tuple(doc["states"])
-        initial = doc["initial"]
-        finals = frozenset(doc["finals"])
-        items = list(doc["transitions"])
+        name, initial = doc["name"], doc["initial"]
+        states, finals, items = doc["states"], doc["finals"], doc["transitions"]
+        if not all(isinstance(v, list) for v in (states, finals, items)):
+            raise TypeError("states, finals and transitions must be JSON arrays")
+        states, finals = tuple(states), frozenset(finals)
         # state ids become set members, so a list or an object is refused here
         hash((states, initial, tuple((item["from"], item["to"]) for item in items)))
     except (KeyError, TypeError) as exc:

@@ -14,22 +14,20 @@ label.sort_key)``.  So every state but the initial and final ones lies
 on a path, the engine's matchable index and ``minimize`` see only
 admitted taggings, state ``q``'s edges are one contiguous run of
 ``edges``, and one pass over them counts the paths (``count_paths``).
-Three constructors make it, each relying on what its caller guarantees:
+``Lattice._from_live`` makes it from int states of a small range and no
+dead edge, whose edges that share ``(src, dst)`` arrive in ``sort_key``
+order: the initial state is then the one source, Kahn's order from it
+(Kahn 1962) numbers the states whatever the ids are, and a stable sort
+on ``(src, dst)`` orders the edges.  Its callers:
 
-* ``Lattice.build`` takes any hashable states and any edges.  It drops
-  the dead ones, numbers the states by Kahn's order over the states in
-  order of first appearance, and sorts by the key above.  Reading JSON,
-  the oracle's trie and random instances use it.
-* ``Lattice._from_live`` takes int states from a small range with no dead
-  edge, whose edges that share ``(src, dst)`` arrive in ``sort_key``
-  order.  The initial state is then the one source, so Kahn's order from
-  it alone, over per-state lists, is ``build``'s numbering whatever the
-  ids are.  It sorts stably on ``(src, dst)`` alone.  ``engine.filter``
-  and ``minimize`` use it.
-* The dataclass constructor itself takes a lattice already in canonical
-  form.  ``build_initial_lattice`` uses it: its states are the token
-  boundaries, which the chain of tokens numbers ``0..n`` in the only
-  topological order, and it emits each position's edges in order.
+* ``Lattice.build`` takes any hashable states and any edges.  It interns
+  the states as ints, keeps the live edges by two ``_reached`` walks and
+  hands them on.  Reading JSON and the oracle's trie use it.
+* ``engine.filter`` and ``minimize``, which make no dead edge.
+* ``build_initial_lattice`` makes what ``_from_live`` would, with the
+  dataclass constructor itself: its states are the token boundaries,
+  which the chain of tokens numbers ``0..n`` in the only topological
+  order, and it emits each position's edges in order.
 
 The apply pipeline (initial lattice, ``engine.filter``, ``minimize``)
 makes exactly one lattice per stage.
@@ -40,7 +38,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import accumulate, chain, pairwise
+from itertools import accumulate, pairwise
 from operator import attrgetter, itemgetter
 from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -85,44 +83,47 @@ class Lattice:
         ``LatticeFormatError``; a dead cycle, on no such path, is dropped
         like any other dead edge.
 
-        In an acyclic graph every edge is on such a path exactly when only
-        ``initial`` lacks an in-edge and only ``final`` an out-edge, so the
-        reachability passes run only when that fails or a cycle is found."""
-        edges = list(edges)
-        heads, tails = set(map(itemgetter(0), edges)), set(map(itemgetter(1), edges))
-        if heads - tails <= {initial} and tails - heads <= {final}:
-            try:
-                return cls._numbered(initial, final, edges)
-            except LatticeFormatError:
-                pass  # a cycle, which may be dead
-        forward = _reachable((initial,), (e[:2] for e in edges))
-        backward = _co_reachable((final,), edges)
-        live = [e for e in edges if e[0] in forward and e[1] in backward]
-        return cls._numbered(initial, final, live)
-
-    @classmethod
-    def _numbered(cls, initial: Hashable, final: Hashable, edges: list[tuple]) -> "Lattice":
-        """``edges`` as they are, renumbered (see ``_numbering``) and sorted."""
-        number = _numbering(initial, final, edges)
-        renumbered = sorted(
-            (Edge(number[src], number[dst], label) for src, dst, label in edges),
-            key=lambda e: (e.src, e.dst, e.label.sort_key),
-        )
-        return cls(len(number), number[initial], number[final], tuple(renumbered))
+        The states become ints in order of first appearance, a forward and
+        a backward ``_reached`` walk keep the live edges, and ``_from_live``
+        numbers and sorts them."""
+        number = {initial: 0}
+        ints = [
+            (number.setdefault(a, len(number)), number.setdefault(b, len(number)), label) for a, b, label in edges
+        ]
+        end = number.setdefault(final, len(number))
+        forward, backward = _reached_both_ways(len(number), ints, [0], [end])
+        live = [e for e in ints if forward[e[0]] and backward[e[1]]]
+        # Kahn's pass frees a state at its last in-edge from its last
+        # predecessor, so moving each ``(src, dst)`` run to where it last
+        # occurs keeps the numbering of the given order, and the run can
+        # then be in ``sort_key`` order, as ``_from_live`` requires.
+        last = {e[:2]: i for i, e in enumerate(live)}
+        live.sort(key=lambda e: (last[e[:2]], e[2].sort_key))
+        return cls._from_live(0, end, live)
 
     @classmethod
     def _from_live(cls, initial: int, final: int, edges: list[tuple]) -> "Lattice":
-        """What ``build`` makes of ``edges`` under the preconditions in the
-        module docstring: Kahn's order from ``initial`` numbers the states,
-        and a stable sort on ``(src, dst)`` puts the edges in ``build``'s
-        order without comparing labels."""
+        """The canonical lattice of ``edges`` (see the module docstring):
+        Kahn's order, first in first out from ``initial`` over successor
+        lists in edge order, numbers the states, and a stable sort on
+        ``(src, dst)`` orders the edges without comparing labels."""
         if not edges:
             return cls(1 if initial == final else 2, 0, int(initial != final), ())
-        successors: list[list[int]] = [[] for _ in range(max(initial, *map(itemgetter(1), edges)) + 1)]
+        size = max(initial, *map(itemgetter(1), edges)) + 1
+        successors: list[list[int]] = [[] for _ in range(size)]
+        indegree = [0] * size
         for src, dst, _ in edges:
             successors[src].append(dst)
-        order = _topological_order(successors, [initial])
-        rank, n = [0] * len(successors), len(order)
+            indegree[dst] += 1
+        order = [] if indegree[initial] else [initial]  # an edge into it closes a cycle
+        for s in order:  # extended as it is walked
+            for t in successors[s]:
+                indegree[t] -= 1
+                if indegree[t] == 0:
+                    order.append(t)
+        if any(indegree):
+            raise LatticeFormatError("lattice has a cycle")
+        rank, n = [0] * size, len(order)
         for r, q in enumerate(order):
             rank[q] = r
         renumbered = [(rank[src], rank[dst], label) for src, dst, label in edges]
@@ -149,38 +150,30 @@ class Lattice:
         return self.initial != self.final and not self.edges
 
 
-def _numbering(initial: Hashable, final: Hashable, edges: list[tuple]) -> dict:
-    """Each state's number: Kahn's order (``_topological_order``) over the
-    states in order of first appearance, ``initial`` first and ``final``
-    last among the new.  Raises on cycles."""
-    ends = list(map(itemgetter(0, 1), edges))
-    order = list(dict.fromkeys(chain((initial,), chain.from_iterable(ends), (final,))))
-    first = {s: i for i, s in enumerate(order)}
-    successors: list[list[int]] = [[] for _ in order]
-    for src, dst in ends:
-        successors[first[src]].append(first[dst])
-    return {order[i]: rank for rank, i in enumerate(_topological_order(successors))}
-
-
-def _reachable(starts: Iterable[Hashable], arcs: Iterable[tuple[Hashable, Hashable]]) -> set:
-    """States reachable from any of ``starts`` along ``(from, to)`` arcs."""
-    successors: dict[Hashable, list[Hashable]] = {}
-    for a, b in arcs:
-        successors.setdefault(a, []).append(b)
-    reached = set(starts)
-    stack = list(reached)
+def _reached(starts: Iterable[int], adjacent: Sequence[Sequence[int]]) -> list[bool]:
+    """Per node ``0..len(adjacent)-1``: whether it is reachable from one
+    of ``starts`` along the per-node ``adjacent`` lists."""
+    reached = [False] * len(adjacent)
+    stack = list(starts)
     while stack:
-        for b in successors.get(stack.pop(), ()):
-            if b not in reached:
-                reached.add(b)
-                stack.append(b)
+        q = stack.pop()
+        if not reached[q]:
+            reached[q] = True
+            stack += adjacent[q]
     return reached
 
 
-def _co_reachable(finals: Iterable[Hashable], edges: Sequence[tuple]) -> set:
-    """States from which one of ``finals`` is reachable over
-    ``(src, dst, ...)`` edges."""
-    return _reachable(finals, ((e[1], e[0]) for e in edges))
+def _reached_both_ways(
+    n: int, arcs: Iterable[Sequence], starts: Iterable[int], ends: Iterable[int]
+) -> tuple[list[bool], list[bool]]:
+    """Per node ``0..n-1`` of the graph of ``(src, dst, ...)`` arcs: whether
+    one of ``starts`` reaches it, and whether it reaches one of ``ends``."""
+    successors: list[list[int]] = [[] for _ in range(n)]
+    predecessors: list[list[int]] = [[] for _ in range(n)]
+    for arc in arcs:
+        successors[arc[0]].append(arc[1])
+        predecessors[arc[1]].append(arc[0])
+    return _reached(starts, successors), _reached(ends, predecessors)
 
 
 def path_labels(path: Sequence[Edge]) -> tuple[EdgeLabel, ...]:
@@ -326,26 +319,6 @@ def minimize(l: Lattice) -> Lattice:
     return Lattice._from_live(state_class[l.initial], classes[()], merged)
 
 
-def _topological_order(successors: list[list[int]], sources: list[int] | None = None) -> list[int]:
-    """Kahn's order of the nodes ``0..n-1`` of a graph given as per-node
-    successor lists: first-in first-out, seeded with ``sources``, by
-    default every node without a predecessor, in node order.  Raises on
-    cycles."""
-    indegree = [0] * len(successors)
-    for out in successors:
-        for t in out:
-            indegree[t] += 1
-    order = [s for s, d in enumerate(indegree) if d == 0] if sources is None else sources
-    for s in order:  # extended as it is walked
-        for t in successors[s]:
-            indegree[t] -= 1
-            if indegree[t] == 0:
-                order.append(t)
-    if any(indegree):
-        raise LatticeFormatError("lattice has a cycle")
-    return order
-
-
 def to_dot(l: Lattice) -> str:
     """Render as a DOT digraph, one edge per transition.  Output is
     deterministic: byte-identical across runs for equal lattices."""
@@ -398,10 +371,9 @@ def from_json(text: str, categories: Iterable[str]) -> Lattice:
     except json.JSONDecodeError as exc:
         raise LatticeFormatError(f"invalid JSON: {exc}") from exc
     try:
-        states = list(doc["states"])
-        initial = doc["initial"]
-        final = doc["final"]
-        raw_edges = list(doc["edges"])
+        states, initial, final, raw_edges = doc["states"], doc["initial"], doc["final"], doc["edges"]
+        if not (isinstance(states, list) and isinstance(raw_edges, list)):
+            raise TypeError("states and edges must be JSON arrays")
     except (KeyError, TypeError) as exc:
         raise LatticeFormatError(f"missing or malformed lattice field: {exc}") from exc
     edges = []
@@ -419,6 +391,6 @@ def from_json(text: str, categories: Iterable[str]) -> Lattice:
             label = Separator(tag_text)
         edges.append((src, dst, label))
     ids = [*states, initial, final, *(q for e in edges for q in e[:2])]
-    if not all(isinstance(q, (int, str)) for q in ids):
+    if not all(type(q) in (int, str) for q in ids):  # not bool, though ``True == 1``
         raise LatticeFormatError(f"state ids must be integers or strings: {ids!r}")
     return Lattice.build(initial, final, edges)

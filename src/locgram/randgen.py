@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .grammar import GrammarClass, LocalGrammar, classify, load_grammar
-from .lattice import Lattice, _co_reachable, _reachable, count_paths
+from .lattice import Lattice, _reached_both_ways, count_paths
 from .lexicon import Lexicon, build_initial_lattice, load_lexicon, tokenize
 
 _SURFACES = ["ga", "bo", "ti", "ra", "mu", "ze", "ko", "da", "fe", "lu"]
@@ -147,13 +147,12 @@ def random_grammar(rng: random.Random, lexicon: Lexicon, mode: str, max_states: 
 
 
 def _prune_document(doc: dict) -> dict | None:
-    """Drop unreachable and dead states so the document validates."""
-    states = set(doc["states"])
+    """Drop unreachable and dead states so the document validates; its
+    states are ``0..n-1``."""
     finals = set(doc["finals"])
     arcs = [(t["from"], t["to"]) for t in doc["transitions"]]
-    forward = _reachable((doc["initial"],), arcs)
-    backward = _co_reachable(finals, arcs)
-    keep = (forward & backward) & states
+    forward, backward = _reached_both_ways(len(doc["states"]), arcs, [doc["initial"]], finals)
+    keep = {q for q in doc["states"] if forward[q] and backward[q]}
     if doc["initial"] not in keep or not (finals & keep):
         return None
     transitions = [t for t in doc["transitions"] if t["from"] in keep and t["to"] in keep]

@@ -120,18 +120,19 @@ def build_calls(monkeypatch):
 
 @pytest.fixture
 def reachable_calls(monkeypatch):
-    """A list that grows by one entry per ``lattice._reachable`` call:
-    True when the call is made inside a lattice constructor
-    (``Lattice.build`` or ``Lattice._from_live``)."""
+    """A list that grows by one entry per call of ``lattice._reached``, the
+    package's one reachability walk: True when the call is made inside a
+    lattice constructor (``Lattice.build`` or ``Lattice._from_live``)."""
     calls = []
     inside = []
-    reachable = lattice_module._reachable
+    reached = lattice_module._reached
 
-    def counting_reachable(*args):
+    def counting_reached(*args):
         calls.append(bool(inside))
-        return reachable(*args)
+        return reached(*args)
 
-    monkeypatch.setattr(lattice_module, "_reachable", counting_reachable)
+    for module in ("lattice", "engine"):
+        monkeypatch.setattr(f"locgram.{module}._reached", counting_reached)
     for name in ("build", "_from_live"):
         constructor = getattr(Lattice, name).__func__
 

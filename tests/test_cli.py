@@ -337,6 +337,28 @@ class TestExitCodes:
         assert code == 4
         assert err.startswith("error: ")
 
+    def test_string_for_grammar_finals_exits_4(self, capsys, tmp_path):
+        # read as the finals "a" and "b", this grammar would be valid
+        path = tmp_path / "finals.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "name": "g",
+                    "states": ["a", "b", "ab"],
+                    "initial": "a",
+                    "finals": "ab",
+                    "transitions": [
+                        {"from": "a", "to": "b", "in": "ne", "out": "<XI>"},
+                        {"from": "a", "to": "ab", "in": "lui", "out": "<PRO>"},
+                        {"from": "ab", "to": "b", "in": "dis", "out": "<V>"},
+                    ],
+                }
+            )
+        )
+        code, out, err = run(capsys, "apply", "--grammar", str(path), "Ne lui dis pas")
+        assert (code, out) == (4, "")
+        assert "arrays" in err
+
     def test_directory_as_corpus_exits_4(self, capsys, tmp_path):
         code, _, err = run(capsys, "check", "--grammar", NE_VERB, str(tmp_path))
         assert code == 4

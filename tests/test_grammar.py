@@ -115,6 +115,19 @@ class TestLoadGrammar:
         with pytest.raises(GrammarFormatError):
             make({**doc, **change})
 
+    @pytest.mark.parametrize("field", ["states", "finals", "transitions"])
+    def test_string_where_an_array_belongs_rejected(self, field):
+        # a string is iterable too: "finals": "ab" would read as the finals "a" and "b"
+        doc = {
+            "name": "g",
+            "states": ["a", "b", "ab"],
+            "initial": "a",
+            "finals": ["a", "b"],
+            "transitions": [{"from": "a", "to": "b", "in": "ne", "out": "<XI>"}],
+        }
+        with pytest.raises(GrammarFormatError, match="arrays"):
+            make({**doc, field: "ab"})
+
     def test_cycles_permitted(self):
         g = make(
             {

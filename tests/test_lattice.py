@@ -248,6 +248,20 @@ class TestTrim:
         assert set(language(l)) == _raw_language(initial, final, edges)
 
 
+class TestNumbering:
+    @given(raw_edge_lists(), st.randoms(use_true_random=False))
+    def test_fixed_point_whatever_the_state_names(self, raw, rng):
+        # ``build`` of its own output, or of its input under an injective
+        # renaming of the states into ints, strings and tuples, changes nothing
+        initial, final, edges = raw
+        l = Lattice.build(initial, final, edges)
+        assert Lattice.build(l.initial, l.final, l.edges) == l
+        states = list(dict.fromkeys([initial, final, *(q for e in edges for q in e[:2])]))
+        codes = rng.sample(range(100), len(states))
+        name = {q: rng.choice([k, f"s{k}", ("t", k)]) for q, k in zip(states, codes)}
+        assert Lattice.build(name[initial], name[final], [(name[a], name[b], lab) for a, b, lab in edges]) == l
+
+
 class TestMinimize:
     def test_singleton_fixed_point(self):
         l = Lattice.build(0, 0, [])
@@ -506,6 +520,24 @@ class TestJson:
         doc = {"states": [0, 1], "initial": 0, "final": 1, "edges": [edge]}
         with pytest.raises(LatticeFormatError):
             from_json(json.dumps(doc), categories)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"final": True},
+            {"edges": [{"from": False, "to": 1, "surface": "-", "tag": "-"}]},
+            {"states": "01"},
+            {"edges": {"from": 0, "to": 1, "surface": "-", "tag": "-"}},
+        ],
+        ids=["bool-final", "bool-endpoint", "states-not-an-array", "edges-not-an-array"],
+    )
+    def test_malformed_document_rejected(self, categories, change):
+        # ``True == 1``: a bool state id would pass for the state 1
+        edge = {"from": 0, "to": 1, "surface": "-", "tag": "-"}
+        doc = {"states": [0, 1], "initial": 0, "final": 1, "edges": [edge]}
+        from_json(json.dumps(doc), categories)
+        with pytest.raises(LatticeFormatError):
+            from_json(json.dumps({**doc, **change}), categories)
 
     def test_layout_matches_json_dumps(self, lattices):
         def reference(l):
