@@ -8,6 +8,7 @@ grammar modes.  For every (lattice, grammar) pair the digests cover
 ``to_json`` of the initial, filtered and minimised lattices, ``to_dot`` of
 the three, and the ``silence_check`` report lines.  A random instance's
 corpus is its own text with the first few lattice paths as gold taggings.
+``grammar_dot`` covers ``grammar.to_dot`` of every grammar used.
 
     PYTHONPATH=src python scripts/output_digest.py --trials 200
 
@@ -21,10 +22,11 @@ from itertools import islice
 
 from locgram import build_initial_lattice, fixtures, tokenize, union
 from locgram.engine import CorpusItem, filter as filter_lattice, load_corpus, silence_check
+from locgram.grammar import to_dot as grammar_to_dot
 from locgram.lattice import iter_paths, minimize, path_labels, to_dot, to_json
 from locgram.randgen import random_instance
 
-KINDS = ("initial_json", "filtered_json", "minimized_json", "dot", "silence_lines")
+KINDS = ("initial_json", "filtered_json", "minimized_json", "dot", "silence_lines", "grammar_dot")
 
 
 class Digests:
@@ -65,6 +67,8 @@ def main():
     lexicon = fixtures.core_lexicon()
     grammars = [fixtures.grammar(name) for name in fixtures.GRAMMAR_FILES]
     grammars.append(union(grammars))
+    for g in grammars:
+        digests.add("grammar_dot", grammar_to_dot(g))
     with open(fixtures.corpus_path(), encoding="utf-8") as f:
         corpus = load_corpus(f)
     for item in corpus:
@@ -76,6 +80,7 @@ def main():
         rng = random.Random(f"{args.seed}:{mode}")
         for _ in range(args.trials):
             inst = random_instance(rng, mode=mode)
+            digests.add("grammar_dot", grammar_to_dot(inst.grammar))
             corpus = gold_corpus(inst.text, inst.lattice, args.paths)
             digests.pipeline(inst.grammar, inst.lattice, corpus, inst.lexicon)
 

@@ -15,10 +15,12 @@ over every analysis the lattice still admits from that state.  Filtering
 therefore never eliminates a sequence the grammar accepts, whatever the
 other sequences are.
 
-Two restricted rules are available when the grammar's shape allows them:
-with only surface-form inputs the matched portion may check the portion's
-own tags against the inputs directly, and the same shortcut is sound
-whenever conformity to each output implies conformity to its input.
+Two restricted rules are available when the grammar's shape allows them.
+Rule B, when conformity to each output implies conformity to its input,
+lets a matched portion check its own tags against the inputs directly.
+Rule A, for grammars with only surface-form inputs, is rule B's walk
+under a stricter precondition: every such grammar passes rule B's, and
+its input masks are the literal lookup of each edge's written form.
 
 Conformity is decided on integers.  Each grammar is compiled once into
 conformity tables (``LocalGrammar.compiled``) that map a label to the
@@ -30,8 +32,8 @@ the edge's output mask, its span's input mask and the transition's bit.
 One holder, ``_Tables``, keeps the tables of a lattice and grammar,
 each built on first use: the per-edge input and output masks, witness
 masks (general rule) and own-tag masks (rules A and B), each a flat int
-list aligned with the edge indices of ``Lattice.edges``, and the
-matchable index and rule A's surface index, per state.  A state's edges
+list aligned with the edge indices of ``Lattice.edges``, and the one
+matchable index, per state, that every rule reads.  A state's edges
 are one run of ``edges`` (``Lattice._starts``), so a walk over a
 state's edges reads a range of indices.  Every verdict reads the
 holder.  The engine keeps one slot, the holder of the last pair, matched
@@ -114,18 +116,6 @@ class _Tables:
         return _match_index(self.l, self.g, self.inputs)
 
     @cached_property
-    def surface_index(self) -> MatchableIndex:
-        """Rule A's index: only the written form of each edge counts,
-        against the grammar's literal inputs, not the analysis it carries."""
-        table = self.g.compiled.inputs
-
-        def mask(label: EdgeLabel) -> int:
-            literal = table.separators if isinstance(label, Separator) else table.surfaces
-            return literal.get(label.surface, 0)
-
-        return _match_index(self.l, self.g, list(map(mask, map(_label, self.l.edges))))
-
-    @cached_property
     def witness(self) -> list[int]:
         """Each edge's output mask, and-ed with the union of its span's
         input masks (a span: every edge from its source to its target)."""
@@ -200,16 +190,16 @@ def matchable(l: Lattice, g: LocalGrammar) -> MatchableIndex:
     return _tables(l, g).index
 
 
-def _walk(t: _Tables, p: Sequence[Edge], index: MatchableIndex, masks: list[int]) -> tuple:
+def _walk(t: _Tables, p: Sequence[Edge], masks: list[int]) -> tuple:
     """The one forward walk over path ``p`` of ``t.l``: each edge's entry
     in ``masks``, and ``via[j]``, the first ``(start, block)`` found to
     end at position ``j`` when scanning reached positions from the left
-    (None while unreached).  Free portions start where ``index`` is false,
-    where no matched portion can; matched portions take the transitions
-    ``masks`` allows: checking the path's own tags against inputs, or any
-    same-span edge (the witness table), which realizes equivalence: same
-    text, same delimitation."""
-    place = t.place
+    (None while unreached).  Free portions start where ``t.index`` is
+    false, where no matched portion can; matched portions take the
+    transitions ``masks`` allows: checking the path's own tags against
+    inputs, or any same-span edge (the witness table), which realizes
+    equivalence: same text, same delimitation."""
+    place, index = t.place, t.index
     q, ok, free = t.l.initial, [], []
     for e in p:
         i = place.get((e.src, e.dst, e.label.sort_key)) if e.src == q else None
@@ -230,11 +220,9 @@ def _walk(t: _Tables, p: Sequence[Edge], index: MatchableIndex, masks: list[int]
     return ok, via
 
 
-def _decompose(
-    t: _Tables, p: Sequence[Edge], index: MatchableIndex, masks: list[int]
-) -> Decomposition | None:
+def _decompose(t: _Tables, p: Sequence[Edge], masks: list[int]) -> Decomposition | None:
     """The witness ``_walk`` found, read backwards from the path's end."""
-    _, via = _walk(t, p, index, masks)
+    _, via = _walk(t, p, masks)
     blocks, j = [], len(via) - 1
     while j and via[j] is not None:
         j, block = via[j]
@@ -248,7 +236,7 @@ def decompose(g: LocalGrammar, p: Path, l: Lattice) -> Decomposition | None:
     end: the block that ends at each position is the one with the leftmost
     start that earlier blocks reach."""
     t = _tables(l, g)
-    return _decompose(t, p, t.index, t.witness)
+    return _decompose(t, p, t.witness)
 
 
 def accepts(g: LocalGrammar, p: Path, l: Lattice) -> bool:
@@ -259,11 +247,14 @@ def accepts(g: LocalGrammar, p: Path, l: Lattice) -> bool:
 def accepts_case_a(g: LocalGrammar, p: Path, l: Lattice) -> bool:
     """Restricted rule for grammars whose inputs are all literal forms:
     matched portions check their own tags against input and output, free
-    portions require the raw text to match no input sequence."""
+    portions require the raw text to match no input sequence.  This is rule
+    B's walk (see the module docstring): a compound tag's surface holds a
+    space or a separator, so no surface form matches it, and neither does
+    a hand-built ``CompleteTag(compound=True)`` with a simple surface,
+    which no constructor in the package makes (``tags.conforms``)."""
     if classify(g) is not GrammarClass.SIMPLE_INPUTS:
         raise ValueError("rule requires a grammar with only surface-form inputs")
-    t = _tables(l, g)
-    return _decompose(t, p, t.surface_index, t.own) is not None
+    return accepts_case_b(g, p, l)
 
 
 def accepts_case_b(g: LocalGrammar, p: Path, l: Lattice) -> bool:
@@ -272,7 +263,7 @@ def accepts_case_b(g: LocalGrammar, p: Path, l: Lattice) -> bool:
     if classify(g) is GrammarClass.GENERAL:
         raise ValueError("rule requires output labels that imply their input labels")
     t = _tables(l, g)
-    return _decompose(t, p, t.index, t.own) is not None
+    return _decompose(t, p, t.own) is not None
 
 
 _FREE = None  # product mode marker for "between portions"
@@ -471,7 +462,7 @@ def _failure_span(t: _Tables, p: Path) -> tuple:
     """Diagnostic for a path the general rule rejects: the furthest
     position reachable by valid portions, extended over the longest
     portion attempt stuck there."""
-    ok, via = _walk(t, p, t.index, t.witness)
+    ok, via = _walk(t, p, t.witness)
     stuck = max(j for j, reached in enumerate(via) if reached is not None)
     _, touched = _portion_walk(t.g, ok, stuck)
     return (stuck, touched + 1)

@@ -25,7 +25,7 @@ from functools import cached_property
 from typing import Hashable, Iterable, Sequence
 
 from .errors import GrammarFormatError
-from .lattice import _reached_both_ways
+from .lattice import _dot_quoted, _reached_both_ways
 from .tags import (
     AnyWord,
     CategoryPattern,
@@ -117,11 +117,12 @@ def load_grammar(text: str, categories: Iterable[str]) -> LocalGrammar:
         states, finals, items = doc["states"], doc["finals"], doc["transitions"]
         if not all(isinstance(v, list) for v in (states, finals, items)):
             raise TypeError("states, finals and transitions must be JSON arrays")
-        states, finals = tuple(states), frozenset(finals)
-        # state ids become set members, so a list or an object is refused here
-        hash((states, initial, tuple((item["from"], item["to"]) for item in items)))
+        ids = [*states, initial, *finals, *(q for item in items for q in (item["from"], item["to"]))]
     except (KeyError, TypeError) as exc:
         raise GrammarFormatError(f"missing or malformed grammar field: {exc}") from exc
+    bad = [q for q in ids if type(q) not in (int, str)]  # bool and float too, though ``True == 1.0 == 1``
+    if bad:
+        raise GrammarFormatError(f"state ids must be integers or strings, not {bad[0]!r}")
     if not isinstance(name, str):
         raise GrammarFormatError(f"grammar name must be a string, not {name!r}")
     categories = tuple(categories)
@@ -133,7 +134,7 @@ def load_grammar(text: str, categories: Iterable[str]) -> LocalGrammar:
         except Exception as exc:
             raise GrammarFormatError(f"bad transition label in {item!r}: {exc}") from exc
         transitions.append(Transition(item["from"], item["to"], inp, out))
-    return _validate(LocalGrammar(name, states, initial, finals, tuple(transitions)))
+    return _validate(LocalGrammar(name, tuple(states), initial, frozenset(finals), tuple(transitions)))
 
 
 def dumps_grammar(g: LocalGrammar) -> str:
@@ -238,21 +239,18 @@ def path_label_pairs(g: LocalGrammar, max_len: int) -> frozenset:
 
 def to_dot(g: LocalGrammar) -> str:
     """Deterministic DOT rendering with ``in / out`` edge labels."""
-    names = {s: str(s) for s in g.states}
     lines = [
         "digraph grammar {",
         "  rankdir=LR;",
         "  node [shape=circle];",
-        f'  "{names[g.initial]}" [style=bold];',
+        f"  {_dot_quoted(str(g.initial))} [style=bold];",
     ]
-    for s in sorted(g.finals, key=str):
-        lines.append(f'  "{names[s]}" [shape=doublecircle];')
+    for s in sorted(map(str, g.finals)):
+        lines.append(f"  {_dot_quoted(s)} [shape=doublecircle];")
     rendered = sorted(
-        (names[t.src], names[t.dst], f"{t.inp.notation()} / {t.out.notation()}")
-        for t in g.transitions
+        (str(t.src), str(t.dst), f"{t.inp.notation()} / {t.out.notation()}") for t in g.transitions
     )
     for src, dst, label in rendered:
-        label = label.replace("\\", "\\\\").replace('"', '\\"')
-        lines.append(f'  "{src}" -> "{dst}" [label="{label}"];')
+        lines.append(f"  {_dot_quoted(src)} -> {_dot_quoted(dst)} [label={_dot_quoted(label)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -330,10 +330,14 @@ def to_dot(l: Lattice) -> str:
         f"  {l.final} [shape=doublecircle];",
     ]
     for e in l.edges:
-        label = e.label.notation().replace("\\", "\\\\").replace('"', '\\"')
-        lines.append(f'  {e.src} -> {e.dst} [label="{label}"];')
+        lines.append(f"  {e.src} -> {e.dst} [label={_dot_quoted(e.label.notation())}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _dot_quoted(text: str) -> str:
+    """``text`` as a DOT double-quoted string."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 # What ``json.JSONEncoder(ensure_ascii=False).encode`` returns for a string,
@@ -365,7 +369,8 @@ def to_json(l: Lattice) -> str:
 
 
 def from_json(text: str, categories: Iterable[str]) -> Lattice:
-    """Read a ``to_json`` document; ``Lattice.build`` drops what is on no path."""
+    """Read a ``to_json`` document, whose ``states`` declare each state id
+    once; ``Lattice.build`` drops what is on no path."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -393,4 +398,10 @@ def from_json(text: str, categories: Iterable[str]) -> Lattice:
     ids = [*states, initial, final, *(q for e in edges for q in e[:2])]
     if not all(type(q) in (int, str) for q in ids):  # not bool, though ``True == 1``
         raise LatticeFormatError(f"state ids must be integers or strings: {ids!r}")
+    declared = set(states)
+    if len(declared) != len(states):
+        raise LatticeFormatError("states repeat a state id")
+    undeclared = [q for q in ids if q not in declared]
+    if undeclared:
+        raise LatticeFormatError(f"state id {undeclared[0]!r} is not declared in states")
     return Lattice.build(initial, final, edges)

@@ -148,8 +148,6 @@ def _parse_entry(line: str, line_no: int, categories: tuple[str, ...]) -> Lexico
     except Exception as exc:
         raise LexiconFormatError(f"line {line_no}: {exc}") from exc
     surface_tokens = tuple(_TOKEN_RE.findall(surface))
-    if not surface_tokens:
-        raise LexiconFormatError(f"line {line_no}: empty surface form")
     lemma = "/".join(lemma_part.split())
     return LexiconEntry(surface, surface_tokens, lemma, category, alternatives)
 

@@ -359,6 +359,27 @@ class TestExitCodes:
         assert (code, out) == (4, "")
         assert "arrays" in err
 
+    def test_bool_grammar_state_exits_4(self, capsys, tmp_path):
+        # ``true == 1``: read as the state 1, the chain <V> pas would end in a pas loop
+        path = tmp_path / "bool_state.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "name": "g",
+                    "states": [0, 1, True],
+                    "initial": 0,
+                    "finals": [True],
+                    "transitions": [
+                        {"from": 0, "to": 1, "in": "<V>", "out": "<V>"},
+                        {"from": 1, "to": True, "in": "pas", "out": "<ADV>"},
+                    ],
+                }
+            )
+        )
+        code, out, err = run(capsys, "apply", "--grammar", str(path), "Ne lui dis pas")
+        assert (code, out) == (4, "")
+        assert "integers or strings" in err
+
     def test_directory_as_corpus_exits_4(self, capsys, tmp_path):
         code, _, err = run(capsys, "check", "--grammar", NE_VERB, str(tmp_path))
         assert code == 4
@@ -462,6 +483,9 @@ class TestExitCodeFuzz:
         rng = random.Random(0)
         filtered = engine.filter(grammars["de-ce-que-chain"], lattices["confirm-chain"])
         documents = [to_json(l) for l in [*lattices.values(), filtered]]
+        # a one-edge document that declares none of its states
+        edge = {"from": 0, "to": 1, "surface": "-", "tag": "-"}
+        documents.append(json.dumps({"states": [], "initial": 0, "final": 1, "edges": [edge]}))
         outcomes = set()
         for trial in range(400):
             document = rng.choice(documents)

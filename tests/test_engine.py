@@ -159,6 +159,8 @@ class TestAccepts:
         p = find_path(other, LIMIT_GOOD)
         with pytest.raises(ValueError):
             accepts(grammars["ne-verb"], p, l)
+        with pytest.raises(ValueError, match="does not join"):
+            accepts(grammars["ne-verb"], p[:-1], other)
 
     def test_invariant_under_dead_branches(self, grammars, lattices, find_path):
         # out of every state hangs a dead copy of the whole lattice: it

@@ -94,6 +94,15 @@ class TestLoadGrammar:
             {"initial": [0]},
             {"transitions": [{"from": [0], "to": 1, "in": "ne", "out": "<XI>"}]},
             {"name": 5},
+            {"initial": 5},
+            {"finals": [1, 7]},
+            {"transitions": [{"from": 0, "to": 9, "in": "ne", "out": "<XI>"}]},
+            # ``True == 1.0 == 1``: these ids would pass for the states 0 and 1
+            {"states": [0, True]},
+            {"initial": 0.0},
+            {"finals": [1.0]},
+            {"transitions": [{"from": 0, "to": True, "in": "ne", "out": "<XI>"}]},
+            {"states": [0, 1, None], "transitions": [{"from": 0, "to": None, "in": "ne", "out": "<XI>"}]},
         ],
         ids=[
             "transition-without-from",
@@ -102,6 +111,14 @@ class TestLoadGrammar:
             "list-initial-state",
             "list-transition-endpoint",
             "name-not-a-string",
+            "initial-undeclared",
+            "final-undeclared",
+            "transition-endpoint-undeclared",
+            "bool-state-id",
+            "float-initial-state",
+            "float-final-state",
+            "bool-transition-endpoint",
+            "null-state-id",
         ],
     )
     def test_malformed_document_rejected(self, change):
@@ -146,6 +163,20 @@ class TestLoadGrammar:
     def test_dump_round_trip(self, grammars):
         for name, g in grammars.items():
             assert load_grammar(dumps_grammar(g), CATS) == g, name
+
+    def test_dump_round_trip_every_pattern_kind(self):
+        patterns = ["<prendre>", "<prendre:P3s>", "<V>", "<V:3s>", "vient", "<MOT>", "-"]
+        g = make(
+            {
+                "name": "g",
+                "states": [0, 1],
+                "initial": 0,
+                "finals": [1],
+                "transitions": [{"from": 0, "to": 1, "in": p, "out": p} for p in patterns],
+            }
+        )
+        assert [t.inp.notation() for t in g.transitions] == patterns
+        assert load_grammar(dumps_grammar(g), CATS) == g
 
 
 class TestClassify:
@@ -202,6 +233,22 @@ class TestUnion:
         flat = union(gs)
         assert path_label_pairs(left, 6) == path_label_pairs(right, 6) == path_label_pairs(flat, 6)
 
+    def test_member_accepting_the_empty_sequence(self, grammars):
+        # a member whose initial state is final makes the shared initial state final
+        g = make(
+            {
+                "name": "g",
+                "states": [0, 1],
+                "initial": 0,
+                "finals": [0, 1],
+                "transitions": [{"from": 0, "to": 1, "in": "ne", "out": "<XI>"}],
+            }
+        )
+        u = union([g, grammars["ne-verb"]])
+        assert u.finals == frozenset({"I", "F"})
+        assert () in path_label_pairs(u, 2)
+        assert () not in path_label_pairs(union([grammars["ne-verb"]]), 2)
+
     def test_empty_union_rejected(self):
         with pytest.raises(ValueError):
             union([])
@@ -251,6 +298,21 @@ class TestDot:
         dot = to_dot(grammars["ne-verb"])
         assert "ne / <XI>" in dot
         assert "<V> / <V>" in dot
+
+    def test_state_names_escaped(self):
+        g = make(
+            {
+                "name": "g",
+                "states": ['a"b', "c\\d"],
+                "initial": 'a"b',
+                "finals": ["c\\d"],
+                "transitions": [{"from": 'a"b', "to": "c\\d", "in": "ne", "out": "<XI>"}],
+            }
+        )
+        lines = to_dot(g).splitlines()
+        assert '  "a\\"b" [style=bold];' in lines
+        assert '  "c\\\\d" [shape=doublecircle];' in lines
+        assert '  "a\\"b" -> "c\\\\d" [label="ne / <XI>"];' in lines
 
     def test_union_dot_deterministic(self, grammars):
         u1 = union([grammars["ne-verb"], grammars["ne-lui"]])

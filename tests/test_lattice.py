@@ -528,8 +528,26 @@ class TestJson:
             {"edges": [{"from": False, "to": 1, "surface": "-", "tag": "-"}]},
             {"states": "01"},
             {"edges": {"from": 0, "to": 1, "surface": "-", "tag": "-"}},
+            {"states": []},
+            {"states": [0]},
+            {"initial": 2},
+            {"edges": [{"from": 0, "to": 2, "surface": "-", "tag": "-"}]},
+            {"states": [0, 0, 0], "initial": "a", "final": "b",
+             "edges": [{"from": "a", "to": "b", "surface": "-", "tag": "-"}]},
+            {"states": [0, 1, 1]},
         ],
-        ids=["bool-final", "bool-endpoint", "states-not-an-array", "edges-not-an-array"],
+        ids=[
+            "bool-final",
+            "bool-endpoint",
+            "states-not-an-array",
+            "edges-not-an-array",
+            "no-state-declared",
+            "final-undeclared",
+            "initial-undeclared",
+            "endpoint-undeclared",
+            "repeated-states-none-used",
+            "repeated-state",
+        ],
     )
     def test_malformed_document_rejected(self, categories, change):
         # ``True == 1``: a bool state id would pass for the state 1

@@ -86,6 +86,19 @@ class TestParseCompleteTag:
         with pytest.raises(TagFormatError):
             complete("<suivre>")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("<suivre V:P2 s>", "whitespace"),
+            ("<ne XI[ ]>", "empty trait"),
+            ("<coup ;NA:ms>", "missing main category"),
+            ("<coup N;:ms>", "empty subcategory"),
+        ],
+    )
+    def test_malformed_category_or_features_rejected(self, text, message):
+        with pytest.raises(TagFormatError, match=message):
+            complete(text)
+
 
 class TestParseIncompleteTag:
     def test_category_with_features(self):
@@ -123,6 +136,20 @@ class TestParseIncompleteTag:
     def test_surface_with_separator_rejected(self):
         with pytest.raises(TagFormatError):
             incomplete("fait-il")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("< >", "empty pattern"),
+            ("<V:3:s>", "multiple feature groups"),
+            ("<:s>", "missing head"),
+            ("<MOT:s>", "takes no features"),
+            ("<a b>", "malformed lemma"),
+        ],
+    )
+    def test_malformed_pattern_rejected(self, text, message):
+        with pytest.raises(TagFormatError, match=message):
+            incomplete(text)
 
 
 class TestConforms:
