@@ -8,7 +8,9 @@ grammar modes.  For every (lattice, grammar) pair the digests cover
 ``to_json`` of the initial, filtered and minimised lattices, ``to_dot`` of
 the three, and the ``silence_check`` report lines.  A random instance's
 corpus is its own text with the first few lattice paths as gold taggings.
-``grammar_dot`` covers ``grammar.to_dot`` of every grammar used.
+``grammar_dot`` covers ``grammar.to_dot`` of every grammar used, and
+``lexicon`` the entries of the bundled lexicon and of every random
+instance's lexicon, in table order.
 
     PYTHONPATH=src python scripts/output_digest.py --trials 200
 
@@ -25,8 +27,9 @@ from locgram.engine import CorpusItem, filter as filter_lattice, load_corpus, si
 from locgram.grammar import to_dot as grammar_to_dot
 from locgram.lattice import iter_paths, minimize, path_labels, to_dot, to_json
 from locgram.randgen import random_instance
+from locgram.tags import format_features
 
-KINDS = ("initial_json", "filtered_json", "minimized_json", "dot", "silence_lines", "grammar_dot")
+KINDS = ("initial_json", "filtered_json", "minimized_json", "dot", "silence_lines", "grammar_dot", "lexicon")
 
 
 class Digests:
@@ -35,6 +38,16 @@ class Digests:
 
     def add(self, kind: str, text: str) -> None:
         self.hashes[kind].update(text.encode("utf-8") + b"\0")
+
+    def lexicon(self, lexicon) -> None:
+        """One line per entry: surface, lemma, category and alternatives.
+        Features go through ``format_features``, since a frozenset's
+        ``repr`` order depends on the string hash seed."""
+        for table in (lexicon.simple, lexicon.compounds):
+            for entries in table.values():
+                for e in entries:
+                    feats = ":".join(map(format_features, e.alternatives))
+                    self.add("lexicon", f"{e.surface}\t{e.lemma}\t{e.category}\t{feats}")
 
     def pipeline(self, grammar, lattice, corpus, lexicon) -> None:
         filtered = filter_lattice(grammar, lattice)
@@ -65,6 +78,7 @@ def main():
 
     digests = Digests()
     lexicon = fixtures.core_lexicon()
+    digests.lexicon(lexicon)
     grammars = [fixtures.grammar(name) for name in fixtures.GRAMMAR_FILES]
     grammars.append(union(grammars))
     for g in grammars:
@@ -81,6 +95,7 @@ def main():
         for _ in range(args.trials):
             inst = random_instance(rng, mode=mode)
             digests.add("grammar_dot", grammar_to_dot(inst.grammar))
+            digests.lexicon(inst.lexicon)
             corpus = gold_corpus(inst.text, inst.lattice, args.paths)
             digests.pipeline(inst.grammar, inst.lattice, corpus, inst.lexicon)
 

@@ -87,7 +87,15 @@ class GrammarClass(enum.IntEnum):
 
 
 def _validate(g: LocalGrammar) -> LocalGrammar:
-    number = {s: i for i, s in enumerate(dict.fromkeys(g.states))}
+    number: dict[Hashable, int] = {}
+    names: dict[str, Hashable] = {}  # to_dot draws a state by its str
+    for s in g.states:
+        if s in number:
+            raise GrammarFormatError(f"repeated state id {s!r}")
+        other = names.setdefault(str(s), s)
+        if other != s:
+            raise GrammarFormatError(f"state ids {other!r} and {s!r} print alike")
+        number[s] = len(number)
     if g.initial not in number:
         raise GrammarFormatError(f"initial state {g.initial!r} not declared")
     if not g.finals:

@@ -133,7 +133,9 @@ def load_categories(lines: Iterable[str]) -> tuple[str, ...]:
     return tuple(codes)
 
 
-def _parse_entry(line: str, line_no: int, categories: tuple[str, ...]) -> LexiconEntry:
+def _parse_entry(
+    line: str, line_no: int, categories: tuple[str, ...], parsed: dict[str, tuple]
+) -> LexiconEntry:
     surface, comma, rest = line.partition(",")
     surface = surface.strip()
     if not comma or not surface:
@@ -141,28 +143,41 @@ def _parse_entry(line: str, line_no: int, categories: tuple[str, ...]) -> Lexico
     lemma_part, dot, codes = rest.strip().rpartition(".")
     if not dot or not lemma_part or not codes:
         raise LexiconFormatError(f"line {line_no}: expected 'lemma.CODES' after the comma")
-    groups = codes.split(":")
-    try:
-        category = parse_category(groups[0], categories)
-        alternatives = tuple(parse_features(g, validate=True) for g in groups[1:])
-    except Exception as exc:
-        raise LexiconFormatError(f"line {line_no}: {exc}") from exc
+    tail = parsed.get(codes)
+    if tail is None:
+        groups = codes.split(":")
+        try:
+            category = parse_category(groups[0], categories)
+            alternatives = tuple(parse_features(g, validate=True) for g in groups[1:])
+        except Exception as exc:
+            raise LexiconFormatError(f"line {line_no}: {exc}") from exc
+        tail = parsed[codes] = (category, alternatives)
     surface_tokens = tuple(_TOKEN_RE.findall(surface))
     lemma = "/".join(lemma_part.split())
-    return LexiconEntry(surface, surface_tokens, lemma, category, alternatives)
+    return LexiconEntry(surface, surface_tokens, lemma, *tail)
 
 
 def load_lexicon(lines: Iterable[str], categories: tuple[str, ...]) -> Lexicon:
     """Load entries, grouping simple words by surface and compounds by
-    their first token.  Identical duplicate lines are silently dropped."""
+    their first token.  A line whose entry equals an earlier one (the same
+    line, or its features in another order) is silently dropped.
+
+    The load is eager and checks every line.  Each distinct code tail
+    (the ``CAT;SUB[+T]:FEATS`` part after the last ``.``) is parsed once
+    per call, in a dict that dies with the call: lines with the same tail
+    share one ``Category`` and one alternatives tuple, which are immutable
+    and compare structurally.  A tail that fails to parse is not kept, so
+    the first line that carries it raises ``LexiconFormatError`` with its
+    own line number."""
     simple: dict[str, list[LexiconEntry]] = {}
     compounds: dict[str, list[LexiconEntry]] = {}
     seen: set[LexiconEntry] = set()
+    parsed: dict[str, tuple] = {}  # code tail -> (category, alternatives)
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        entry = _parse_entry(line, line_no, categories)
+        entry = _parse_entry(line, line_no, categories, parsed)
         if entry in seen:
             continue
         seen.add(entry)

@@ -380,6 +380,36 @@ class TestExitCodes:
         assert (code, out) == (4, "")
         assert "integers or strings" in err
 
+    def test_grammar_states_that_print_alike_exit_4(self, capsys, tmp_path):
+        # to_dot would draw the states 1 and "1" as one node
+        path = tmp_path / "alike.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "name": "g",
+                    "states": [0, 1, "1"],
+                    "initial": 0,
+                    "finals": [1, "1"],
+                    "transitions": [
+                        {"from": 0, "to": 1, "in": "<V>", "out": "<V>"},
+                        {"from": 0, "to": "1", "in": "pas", "out": "<ADV>"},
+                    ],
+                }
+            )
+        )
+        code, out, err = run(capsys, "apply", "--grammar", str(path), "Ne lui dis pas")
+        assert (code, out) == (4, "")
+        assert "print alike" in err
+
+    def test_user_lexicon_with_a_repeated_bad_tail_exits_4(self, capsys, tmp_path):
+        # the bad tail's parse is never kept, so its first line is the one named
+        path = tmp_path / "bad.dic"
+        path.write_text("le,le.DET:ms\nsuis,être.V:P12s\nla,le.DET:fs\nfais,faire.V:P12s\n", encoding="utf-8")
+        code, out, err = run(capsys, "tag", "--lexicon", str(path), "le")
+        assert (code, out) == (4, "")
+        assert err.startswith("error: line 2: ")
+        assert "Traceback" not in err
+
     def test_directory_as_corpus_exits_4(self, capsys, tmp_path):
         code, _, err = run(capsys, "check", "--grammar", NE_VERB, str(tmp_path))
         assert code == 4

@@ -145,6 +145,28 @@ class TestLoadGrammar:
         with pytest.raises(GrammarFormatError, match="arrays"):
             make({**doc, field: "ab"})
 
+    @pytest.mark.parametrize(
+        "states, finals, arcs, match",
+        [
+            ([0, 0, 1], [1], [(0, 1)], "repeated state id 0"),
+            (["a", "b", "a"], ["b"], [("a", "b")], "repeated state id 'a'"),
+            ([0, 1, "1"], [1, "1"], [(0, 1), (0, "1")], "1 and '1' print alike"),
+            ([0, "0", 1], [1], [(0, "0"), ("0", 1)], "0 and '0' print alike"),
+        ],
+        ids=["repeated-int", "repeated-str", "int-and-str-finals", "int-and-str-inner"],
+    )
+    def test_state_ids_distinct_and_printed_distinctly(self, states, finals, arcs, match):
+        # each document is valid but for its ids; to_dot draws a state by its str
+        doc = {
+            "name": "g",
+            "states": states,
+            "initial": states[0],
+            "finals": finals,
+            "transitions": [{"from": q, "to": r, "in": "<V>", "out": "<V>"} for q, r in arcs],
+        }
+        with pytest.raises(GrammarFormatError, match=match):
+            make(doc)
+
     def test_cycles_permitted(self):
         g = make(
             {

@@ -1,13 +1,32 @@
+import importlib.util
+import random
+import sys
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
-from locgram import build_initial_lattice, tokenize
+from locgram import build_initial_lattice, fixtures, tokenize
 from locgram.errors import LexiconFormatError, UnknownWordError
 from locgram.lattice import all_paths, count_paths, iter_paths
 from locgram.lexicon import TokenKind, load_categories, load_lexicon
 from locgram.tags import Separator
 from conftest import SENTENCES
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def generated_lexicon_lines(n_words: int) -> list[str]:
+    """A ``perfbench/gen.py`` lexicon: the bundled entries plus ``n_words``
+    synthetic surfaces.  ``gen`` imports nothing from locgram."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen  # its dataclasses look it up
+    try:
+        spec.loader.exec_module(gen)
+        return gen.make_language(random.Random("lexicon:1"), n_words, n_words // 20).lines
+    finally:
+        del sys.modules[spec.name]
 
 
 class TestLoadLexicon:
@@ -36,8 +55,66 @@ class TestLoadLexicon:
             load_lexicon(["suis,être.V:"], categories)
 
     def test_duplicates_dropped(self, categories):
-        lex = load_lexicon(["le,le.DET:ms", "le,le.DET:ms"], categories)
-        assert len(lex.simple["le"]) == 1
+        # "DET:sm" is another code tail, parsed on its own, but the same entry
+        for second in ("le,le.DET:ms", "le,le.DET:sm"):
+            lex = load_lexicon(["le,le.DET:ms", second], categories)
+            assert len(lex.simple["le"]) == 1
+
+    @pytest.mark.parametrize("source", ["bundled", "generated"])
+    def test_each_line_loads_as_if_alone(self, categories, source):
+        # lines sharing a code tail share its parse; each entry must still
+        # be the one its own line makes
+        if source == "bundled":
+            with open(fixtures.lexicon_path(), encoding="utf-8") as f:
+                lines = f.read().splitlines()
+        else:
+            lines = generated_lexicon_lines(2000)
+        expected: dict[str, dict] = {"simple": {}, "compounds": {}}
+        for line in lines:
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            alone = load_lexicon([line], categories)
+            for name in expected:
+                for key, (entry,) in getattr(alone, name).items():
+                    entries = expected[name].setdefault(key, [])
+                    if entry not in entries:
+                        entries.append(entry)
+        lex = load_lexicon(lines, categories)
+        assert expected["simple"] and expected["compounds"]
+        assert lex.simple == {k: tuple(v) for k, v in expected["simple"].items()}
+        assert lex.compounds == {k: tuple(v) for k, v in expected["compounds"].items()}
+
+    def test_lines_with_one_code_tail_share_its_parse(self, categories):
+        lex = load_lexicon(["suis,être.V:P1s:P2s", "fais,faire.V:P1s:P2s"], categories)
+        (suis,), (fais,) = lex.simple["suis"], lex.simple["fais"]
+        assert suis.category is fais.category
+        assert suis.alternatives is fais.alternatives
+
+    def test_each_load_reads_its_own_inventory(self):
+        # a code tail's parse must not outlive the load that made it
+        line = "suis,être.V:P1s"
+        (entry,) = load_lexicon([line], ("V", "N")).simple["suis"]
+        assert entry.category.main == "V"
+        with pytest.raises(LexiconFormatError, match="^line 1: unknown main category 'V'"):
+            load_lexicon([line], ("N",))
+        assert load_lexicon([line], ("V",)).simple["suis"] == (entry,)
+
+    @pytest.mark.parametrize(
+        "tail, message",
+        [("V:P12s", "duplicate person code"), ("XYZ:ms", "unknown main category 'XYZ'")],
+        ids=["feature", "category"],
+    )
+    @pytest.mark.parametrize(
+        "lines, line_no",
+        [
+            (["le,le.DET:ms", "a,a.{tail}", "la,le.DET:fs", "b,b.{tail}"], 2),
+            (["le,le.DET:ms", "suis,être.V:P1s", "a,a.{tail}", "b,b.{tail}"], 3),
+        ],
+        ids=["repeated", "first-seen-late"],
+    )
+    def test_bad_code_tail_reports_its_first_line(self, categories, tail, message, lines, line_no):
+        with pytest.raises(LexiconFormatError, match=f"^line {line_no}: {message}"):
+            load_lexicon([line.format(tail=tail) for line in lines], categories)
 
     def test_blank_and_comment_lines_skipped(self, categories):
         lex = load_lexicon(["", "# entry", "le,le.DET:ms"], categories)
