@@ -6,12 +6,15 @@ its exit code: 0 ok, 1 silence violations (or oracle mismatch), 3 empty
 filtering result.  ``main`` maps exceptions to the other codes: 2 unknown
 word, 4 usage error or bad grammar/lexicon/corpus input (a file that is
 not UTF-8 included), 5 enumeration overflow, 6 internal error (reported
-with its traceback; a crash is never a verdict).
+with its traceback; a crash is never a verdict).  A reader that closes
+stdout early (``| head``) ends the run with 141 (128 + SIGPIPE) and no
+message, stdout pointed at ``os.devnull`` so that the exit flush cannot fail.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 from pathlib import Path
@@ -76,7 +79,7 @@ def alternative_listing(tokens, lexicon: Lexicon) -> str:
         return sorted({f'"{e.label.display()}"' for e in edges}, key=collation_key)
 
     def simple(i: int) -> str:
-        first = by_source[i][0]  # a separator token has one edge, its separator
+        first = by_source[i][0]  # a separator's one-token edge; compounds from it end further
         if isinstance(first.label, Separator):
             return first.label.char
         return "(" + " + ".join(quoted(e for e in by_source[i] if e.dst == i + 1)) + ")"
@@ -253,9 +256,13 @@ def main(argv: list[str] | None = None) -> int:
         out, code = COMMANDS[args.command](args)
         if out:
             print(out)
+            sys.stdout.flush()  # a closed pipe raises here, not at exit
         if code == 3:
             print("warning: every tagging was rejected", file=sys.stderr)
         return code
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except UnknownWordError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

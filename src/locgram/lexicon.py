@@ -11,16 +11,17 @@ are alternatives, each expanding to one complete tag:
     suis,suivre.V:P1s:P2s:Y2s
     sur le moment,sur le moment.ADV;PDETC
 
-The category inventory is a separate file, one main code per line.
+The category inventory is a separate file, one main code per line.  A
+load checks every line; a simple surface's entries are built on first lookup.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
-from typing import Iterable, Mapping
 
 from .errors import LexiconFormatError, UnknownWordError
 from .lattice import Lattice, _as_edge
@@ -74,14 +75,17 @@ class LexiconEntry:
 class Lexicon:
     """Entries by first token, and the labels made from them.
 
-    Each analysis is one label object for the lexicon's lifetime: the
-    tags of a simple surface form (``lookup``) and of a compound entry
-    (``analyses``) are made on first request and kept, so what is
-    computed once per label (sort key, notation) is computed once per
-    analysis, across texts.  Only hits are kept: an unknown surface adds
-    nothing, so the table is bounded by the lexicon's analyses.  Threads
-    racing on a first lookup can at worst make two equal label objects,
-    which are the same symbol (labels compare structurally).
+    ``simple`` builds a surface's entries on their first access, from
+    lines the load has checked.  Each analysis is one label object for
+    the lexicon's lifetime: the tags of a simple surface form (``lookup``)
+    and of a compound entry (``analyses``) are made on first request and
+    kept, so what is computed once per label (sort key, notation) is
+    computed once per analysis, across texts.  Only hits are kept: an
+    unknown surface adds nothing, so the table is bounded by the
+    lexicon's analyses.  Threads
+    racing on a first lookup can at worst build a surface's entries twice
+    and make two equal label objects, which are the same symbol (entries
+    and labels compare structurally).
     """
 
     simple: Mapping[str, tuple[LexiconEntry, ...]]
@@ -133,9 +137,10 @@ def load_categories(lines: Iterable[str]) -> tuple[str, ...]:
     return tuple(codes)
 
 
-def _parse_entry(
+def _checked_parts(
     line: str, line_no: int, categories: tuple[str, ...], parsed: dict[str, tuple]
-) -> LexiconEntry:
+) -> tuple[str, str, tuple]:
+    """A line's surface, lemma part and parsed code tail."""
     surface, comma, rest = line.partition(",")
     surface = surface.strip()
     if not comma or not surface:
@@ -152,40 +157,70 @@ def _parse_entry(
         except Exception as exc:
             raise LexiconFormatError(f"line {line_no}: {exc}") from exc
         tail = parsed[codes] = (category, alternatives)
-    surface_tokens = tuple(_TOKEN_RE.findall(surface))
-    lemma = "/".join(lemma_part.split())
-    return LexiconEntry(surface, surface_tokens, lemma, *tail)
+    return surface, lemma_part, tail
+
+
+class _SimpleEntries(Mapping):
+    """Simple entries by surface, read as a dict.  The load keeps each
+    surface's checked lines as a flat list of ``lemma part, parsed code
+    tail`` pairs; the first read of the surface replaces the list by its
+    entries, in line order, the first of equal ones kept.  Building cannot
+    fail."""
+
+    def __init__(self, table: dict[str, list | tuple]):
+        self._table = table
+
+    def __getitem__(self, surface: str) -> tuple[LexiconEntry, ...]:
+        entries = self._table[surface]
+        if type(entries) is list:
+            pairs = zip(entries[::2], entries[1::2])
+            made = (LexiconEntry(surface, (surface,), "/".join(p.split()), *t) for p, t in pairs)
+            entries = self._table[surface] = tuple(dict.fromkeys(made))
+        return entries
+
+    def __iter__(self):
+        return iter(self._table)
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
 
 
 def load_lexicon(lines: Iterable[str], categories: tuple[str, ...]) -> Lexicon:
     """Load entries, grouping simple words by surface and compounds by
     their first token.  A line whose entry equals an earlier one (the same
-    line, or its features in another order) is silently dropped.
+    line, or its features in another order) is dropped.
 
-    The load is eager and checks every line.  Each distinct code tail
-    (the ``CAT;SUB[+T]:FEATS`` part after the last ``.``) is parsed once
-    per call, in a dict that dies with the call: lines with the same tail
-    share one ``Category`` and one alternatives tuple, which are immutable
-    and compare structurally.  A tail that fails to parse is not kept, so
-    the first line that carries it raises ``LexiconFormatError`` with its
-    own line number."""
-    simple: dict[str, list[LexiconEntry]] = {}
+    The load checks every line: a malformed one raises ``LexiconFormatError``
+    with its number, whatever is looked up later.  Each distinct code tail
+    (the ``CAT;SUB[+T]:FEATS`` part after the last ``.``) is parsed once per
+    call, and lines with that tail share its immutable parse.  A tail that
+    fails is not kept, so the first line that carries it is the one named.
+    Compound entries are built here; a simple surface's entries on its
+    first lookup, since a text meets few of a large lexicon's surfaces.
+    Equal entries share their surface, so repeats are dropped per surface."""
+    simple: dict[str, list] = {}
     compounds: dict[str, list[LexiconEntry]] = {}
-    seen: set[LexiconEntry] = set()
     parsed: dict[str, tuple] = {}  # code tail -> (category, alternatives)
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        entry = _parse_entry(line, line_no, categories, parsed)
-        if entry in seen:
-            continue
-        seen.add(entry)
-        table = compounds if entry.compound else simple
-        table.setdefault(entry.surface_tokens[0], []).append(entry)
+        surface, part, tail = _checked_parts(line, line_no, categories, parsed)
+        pairs = simple.get(surface)
+        if pairs is None:
+            tokens = tuple(_TOKEN_RE.findall(surface))
+            if len(tokens) > 1:
+                entry = LexiconEntry(surface, tokens, "/".join(part.split()), *tail)
+                compounds.setdefault(tokens[0], []).append(entry)
+                continue
+            pairs = simple[surface] = []
+        pairs += part, tail
     return Lexicon(
-        simple={k: tuple(v) for k, v in simple.items()},
-        compounds={k: tuple(v) for k, v in compounds.items()},
+        simple=_SimpleEntries(simple),
+        compounds={k: tuple(dict.fromkeys(v)) for k, v in compounds.items()},
         categories=categories,
     )
 
@@ -233,7 +268,8 @@ def build_initial_lattice(tokens: list[Token], lexicon: Lexicon) -> Lattice:
 
     States are token boundaries 0..n.  Every feature alternative of every
     simple entry yields an edge over one token; compound entries span their
-    whole token range as parallel branches; separators carry themselves.
+    whole token range as parallel branches, from a word or a separator;
+    separators carry themselves.
     Unknown words abort (guessing would risk eliminating the correct
     analysis later, so it is deliberately unsupported).
 
@@ -253,11 +289,11 @@ def build_initial_lattice(tokens: list[Token], lexicon: Lexicon) -> Lattice:
         i = token.position
         if token.kind is TokenKind.SEPARATOR:
             edges.append((i, i + 1, _SEPARATORS[token.text]))
-            continue
-        tags = lexicon.lookup(token.lookup)
-        if not tags:
-            raise UnknownWordError(token)
-        edges += [(i, i + 1, tag) for tag in tags]
+        else:
+            tags = lexicon.lookup(token.lookup)
+            if not tags:
+                raise UnknownWordError(token)
+            edges += [(i, i + 1, tag) for tag in tags]
         compounds = [
             (i, i + len(entry.surface_tokens), tag)
             for entry in compound_matches(tokens, i, lexicon)

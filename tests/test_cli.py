@@ -122,6 +122,21 @@ class TestTag:
         assert code == 0
         assert out == EXPECTED_OVERLAP_LISTING
 
+    def test_compound_from_a_separator(self, capsys, tmp_path):
+        lexicon = tmp_path / "lexicon.txt"
+        lexicon.write_text(
+            "vient,venir.V:P3s\nt,te.PRO:2s\nil,il.PRO:3ms\n-t-il,-t-il.PRO:3ms\n", encoding="utf-8"
+        )
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("T: vient-t-il\nG: <venir V:P3s> <-t-il PRO:3ms>\n", encoding="utf-8")
+        inputs = ["--lexicon", str(lexicon), "--categories", fixtures.categories_path()]
+        code, out, _ = run(capsys, "tag", *inputs, "vient-t-il")
+        assert (code, out) == (
+            0, '("venir.V:P3s")\n(\n"-t-il.PRO:3ms"\n+\n-\n("te.PRO:2s")\n-\n("il.PRO:3ms")\n)\n'
+        )
+        code, out, _ = run(capsys, "check", *inputs, "--grammar", NE_VERB, str(corpus))
+        assert (code, out) == (0, "")
+
 
 class TestApply:
     def test_chain_constrains_survivors(self, capsys):
@@ -331,6 +346,22 @@ class TestExitCodes:
         assert code == 6
         assert out == ""
         assert "internal error" in err
+
+    def test_closed_stdout_exits_141_quietly(self, capsys, monkeypatch, tmp_path):
+        # what a reader that exits early (``| head``) leaves: print raises
+        class ClosedPipe:
+            def __init__(self, file):
+                self.fileno = file.fileno
+
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        with open(tmp_path / "stdout", "w") as file:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe(file))
+            code = main(["tag", "--format", "lattice", "Ne lui dis pas"])
+        assert code == 141
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "stdout").read_text() == ""
 
     def test_directory_as_grammar_exits_4(self, capsys, tmp_path):
         code, _, err = run(capsys, "apply", "--grammar", str(tmp_path), "Ne lui dis pas")

@@ -711,10 +711,11 @@ def _built_initial_lattice(tokens, lexicon):
     edges = []
     for token in tokens:
         i = token.position
+        entries = compound_matches(tokens, i, lexicon)
         if token.kind is TokenKind.SEPARATOR:
             edges.append((i, i + 1, Separator(token.text)))
-            continue
-        entries = [*lexicon.simple.get(token.lookup, ()), *compound_matches(tokens, i, lexicon)]
+        else:
+            entries = [*lexicon.simple.get(token.lookup, ()), *entries]
         edges += [
             (i, i + len(entry.surface_tokens), tag) for entry in entries for tag in expand_entry(entry)
         ]
@@ -776,6 +777,26 @@ class TestCanonicalForm:
             label = parse_complete_tag(tag, categories)
             on_span = [(e.label.lemma, e.label.features) for e in l.edges if e[:2] == span]
             assert on_span.count((label.lemma, label.features)) == 2
+
+    def test_compounds_from_a_separator(self, categories, grammars):
+        lexicon = load_lexicon(
+            [
+                "ne,ne.XI",
+                "vient,venir.V:P3s",
+                "t,te.PRO:2s",
+                "il,il.PRO:3ms",
+                "-t-il,-t-il.PRO:3ms",
+                "- t,- t.ADV",
+                "-t-il,-t-il.PRO:3ms",
+                "-t-il,-t-il.PRO:3fs",
+            ],
+            categories,
+        )
+        text = "ne vient-t-il - t"
+        self.assert_pipeline(text, lexicon, [*grammars.values(), union(list(grammars.values()))])
+        l = build_initial_lattice(tokenize(text), lexicon)
+        assert [e.dst for e in l.edges_by_source[2]] == [3, 4, 6, 6]
+        assert [e.dst for e in l.edges_by_source[6]] == [7, 8]
 
     def test_lexicons_sharing_surfaces(self, categories):
         shared = ["moment,moment.N:ms"]

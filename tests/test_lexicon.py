@@ -1,6 +1,7 @@
 import importlib.util
 import random
 import sys
+import threading
 from itertools import islice
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from locgram import build_initial_lattice, fixtures, tokenize
 from locgram.errors import LexiconFormatError, UnknownWordError
 from locgram.lattice import all_paths, count_paths, iter_paths
-from locgram.lexicon import TokenKind, load_categories, load_lexicon
+from locgram.lexicon import LexiconEntry, TokenKind, load_categories, load_lexicon
 from locgram.tags import Separator
 from conftest import SENTENCES
 
@@ -115,6 +116,76 @@ class TestLoadLexicon:
     def test_bad_code_tail_reports_its_first_line(self, categories, tail, message, lines, line_no):
         with pytest.raises(LexiconFormatError, match=f"^line {line_no}: {message}"):
             load_lexicon([line.format(tail=tail) for line in lines], categories)
+
+    def test_load_builds_compounds_only(self, categories, monkeypatch):
+        # a simple surface's entries are built on its first lookup, and only its own
+        lines = generated_lexicon_lines(2000)
+        compound_lines = sum(" " in line.partition(",")[0] for line in lines)
+        surface_lines = sum(line.startswith("le,") for line in lines)
+        built = []
+        init = LexiconEntry.__init__
+        monkeypatch.setattr(LexiconEntry, "__init__", lambda self, *a: built.append(init(self, *a)))
+        lex = load_lexicon(lines, categories)
+        at_load = len(built)
+        assert at_load <= compound_lines < len(lines) // 10
+        assert lex.lookup("le")
+        assert len(built) == at_load + surface_lines
+        lex.lookup("le")
+        assert len(built) == at_load + surface_lines
+
+    def test_tables_read_alike_before_and_after_lookups(self, categories):
+        with open(fixtures.lexicon_path(), encoding="utf-8") as f:
+            lines = f.read().splitlines()
+        # key order of the eager load: each surface or first token where it first appears
+        order: dict[str, list] = {"simple": [], "compounds": []}
+        for line in lines:
+            if line.strip() and not line.lstrip().startswith("#"):
+                alone = load_lexicon([line], categories)
+                for name, keys in order.items():
+                    keys += [k for k in getattr(alone, name) if k not in keys]
+        fresh, used = (load_lexicon(lines, categories) for _ in range(2))
+        for text in SENTENCES.values():
+            build_initial_lattice(tokenize(text), used)
+        assert used == fresh
+        for name, keys in order.items():
+            assert list(getattr(fresh, name)) == list(getattr(used, name)) == keys
+            assert dict(getattr(fresh, name)) == dict(getattr(used, name))
+        assert "sur" in used.simple and "pont" not in used.simple
+        assert used.simple.get("pont") is None
+        assert "'suis': (LexiconEntry(surface='suis'" in repr(fresh)
+
+    def test_threads_racing_on_first_lookups_agree(self, categories):
+        lines = generated_lexicon_lines(500)
+        shared, alone = (load_lexicon(lines, categories) for _ in range(2))
+        surfaces = list(alone.simple)
+        results = []
+        threads = [
+            threading.Thread(target=lambda: results.append([shared.lookup(s) for s in surfaces]))
+            for _ in range(6)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [[alone.lookup(s) for s in surfaces]] * len(threads)
+        assert shared == alone
+
+    @pytest.mark.parametrize(
+        "last, message",
+        [("zzz,zzz.V:P12s", "duplicate person code"), ("le,le.", "expected")],
+        ids=["unseen-surface", "known-surface"],
+    )
+    def test_last_line_checked_at_load(self, categories, last, message):
+        # no lookup reaches the last line, yet the load reports it
+        lines = [*generated_lexicon_lines(200), last]
+        with pytest.raises(LexiconFormatError, match=f"^line {len(lines)}: {message}"):
+            load_lexicon(lines, categories)
 
     def test_blank_and_comment_lines_skipped(self, categories):
         lex = load_lexicon(["", "# entry", "le,le.DET:ms"], categories)
@@ -273,3 +344,14 @@ class TestBuildInitialLattice:
     def test_compounds_do_not_cross_separators(self, lexicon):
         l = build_initial_lattice(tokenize("sur , le moment"), lexicon)
         assert not any(getattr(e.label, "compound", False) for e in l.edges)
+
+    def test_compound_may_start_with_a_separator(self, categories):
+        lexicon = load_lexicon(
+            ["vient,venir.V:P3s", "t,te.PRO:2s", "il,il.PRO:3ms", "-t-il,-t-il.PRO:3ms"], categories
+        )
+        l = build_initial_lattice(tokenize("vient-t-il"), lexicon)
+        assert [(e.src, e.dst, e.label.notation()) for e in l.edges_by_source[1]] == [
+            (1, 2, "-"),
+            (1, 5, "<-t-il PRO:3ms>"),
+        ]
+        assert count_paths(l) == 2
