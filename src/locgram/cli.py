@@ -14,6 +14,7 @@ message, stdout pointed at ``os.devnull`` so that the exit flush cannot fail.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import random
 import sys
@@ -147,8 +148,6 @@ def cmd_check(args: argparse.Namespace) -> tuple[str, int]:
     corpus = engine.load_corpus(_read(args.corpus).splitlines())
     report = engine.silence_check(combined, corpus, lexicon)
     if args.format == "report":
-        import json
-
         doc = {
             "grammar": combined.name,
             "violations": [

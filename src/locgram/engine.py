@@ -35,13 +35,13 @@ masks (general rule) and own-tag masks (rules A and B), each a flat int
 list aligned with the edge indices of ``Lattice.edges``, and the one
 matchable index, per state, that every rule reads.  A state's edges
 are one run of ``edges`` (``Lattice._starts``), so a walk over a
-state's edges reads a range of indices.  Every verdict reads the
-holder.  The engine keeps one slot, the holder of the last pair, matched
-by identity, never by hash, which would hash every label: checking many
-paths of one lattice builds its tables once, and at most one lattice's
-tables outlive a call.  A cache on the lattice would keep tables for
-every grammar it meets, and make the work of a call depend on the calls
-before it.
+state's edges reads a range of indices, and a path's edge is found in
+its source's run.  Every verdict reads the holder.  The engine keeps
+one slot, the holder of the last pair, matched by identity, never by
+hash, which would hash every label: checking many paths of one lattice
+builds its tables once, and at most one lattice's tables outlive a
+call.  A cache on the lattice would keep tables for every grammar it
+meets, and make the work of a call depend on the calls before it.
 
 A path's verdict, its witness and a rejected path's silence span come
 from one forward walk over its positions, ``_walk``.  Every walk is
@@ -61,7 +61,7 @@ from .errors import CorpusFormatError, TagFormatError, UnknownWordError
 from .grammar import GrammarClass, LocalGrammar, classify
 from .lattice import DEFAULT_PATH_LIMIT, Edge, Lattice, Path, _reached, all_paths, path_labels
 from .lexicon import Lexicon, build_initial_lattice, tokenize
-from .tags import EdgeLabel, Separator, parse_complete_tag
+from .tags import SEPARATOR_CHARS, EdgeLabel, Separator, parse_complete_tag, parse_separator
 
 MatchableIndex = dict  # lattice state -> bool
 _label = itemgetter(2)  # an edge's label
@@ -130,13 +130,6 @@ class _Tables:
     def own(self) -> list[int]:
         return list(map(and_, self.outputs, self.inputs))
 
-    @cached_property
-    def place(self) -> dict:
-        """Each edge's index in ``l.edges``, by ``(src, dst,
-        label.sort_key)``, whose hash, unlike an ``Edge``'s, is no Python
-        call.  Equal edges have equal masks: either index will do."""
-        return {(e.src, e.dst, e.label.sort_key): i for i, e in enumerate(self.l.edges)}
-
 
 def _tables(l: Lattice, g: LocalGrammar) -> _Tables:
     """The last call's holder if it was for these very objects, else a new one."""
@@ -199,12 +192,13 @@ def _walk(t: _Tables, p: Sequence[Edge], masks: list[int]) -> tuple:
     transitions ``masks`` allows: checking the path's own tags against
     inputs, or any same-span edge (the witness table), which realizes
     equivalence: same text, same delimitation."""
-    place, index = t.place, t.index
+    edges, starts, index = t.l.edges, t.l._starts, t.index
     q, ok, free = t.l.initial, [], []
     for e in p:
-        i = place.get((e.src, e.dst, e.label.sort_key)) if e.src == q else None
-        if i is None:
-            raise ValueError(f"edge {e!r} does not continue a path of the lattice")
+        try:  # identity is tried first; equal edges have equal masks
+            i = edges.index(e, starts[q], starts[q + 1])
+        except ValueError:
+            raise ValueError(f"edge {e!r} does not continue a path of the lattice") from None
         ok.append(masks[i])
         free.append(not index[q])
         q = e.dst
@@ -387,10 +381,11 @@ class SilenceReport:
 
 def parse_tag_sequence(text: str, categories: Iterable[str]) -> list[EdgeLabel]:
     """Parse a whitespace-separated sequence of complete tags and bare
-    separator characters, e.g. ``<faire V:P3s> - <il PRO:3ms>``."""
+    separator characters, e.g. ``<faire V:P3s> - <il PRO:3ms>``.  Other
+    bare text is refused, each run of it as one piece."""
     return [
-        parse_complete_tag(piece, categories) if piece.startswith("<") else Separator(piece)
-        for piece in re.findall(r"<[^<>]*>|\S", text)
+        parse_complete_tag(piece, categories) if piece.startswith("<") else parse_separator(piece)
+        for piece in re.findall(rf"<[^<>]*>|[^\s<>{re.escape(SEPARATOR_CHARS)}]+|\S", text)
     ]
 
 

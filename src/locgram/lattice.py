@@ -43,7 +43,7 @@ from operator import attrgetter, itemgetter
 from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import EnumerationOverflow, LatticeFormatError
-from .tags import EdgeLabel, Separator, parse_complete_tag
+from .tags import EdgeLabel, parse_complete_tag, parse_separator
 
 DEFAULT_PATH_LIMIT = 100_000
 
@@ -393,7 +393,7 @@ def from_json(text: str, categories: Iterable[str]) -> Lattice:
         else:
             if tag_text != surface:
                 raise LatticeFormatError(f"separator edge with mismatched surface: {item!r}")
-            label = Separator(tag_text)
+            label = parse_separator(tag_text)
         edges.append((src, dst, label))
     ids = [*states, initial, final, *(q for e in edges for q in e[:2])]
     if not all(type(q) in (int, str) for q in ids):  # not bool, though ``True == 1``

@@ -12,7 +12,7 @@ are alternatives, each expanding to one complete tag:
     sur le moment,sur le moment.ADV;PDETC
 
 The category inventory is a separate file, one main code per line.  A
-load checks every line; a simple surface's entries are built on first lookup.
+load checks every line; a simple surface's entries are built when read.
 """
 
 from __future__ import annotations
@@ -75,17 +75,16 @@ class LexiconEntry:
 class Lexicon:
     """Entries by first token, and the labels made from them.
 
-    ``simple`` builds a surface's entries on their first access, from
-    lines the load has checked.  Each analysis is one label object for
-    the lexicon's lifetime: the tags of a simple surface form (``lookup``)
+    ``simple`` builds a surface's entries on each access, from lines the
+    load has checked.  Each analysis is one label object for the
+    lexicon's lifetime: the tags of a simple surface form (``lookup``)
     and of a compound entry (``analyses``) are made on first request and
-    kept, so what is computed once per label (sort key, notation) is
-    computed once per analysis, across texts.  Only hits are kept: an
-    unknown surface adds nothing, so the table is bounded by the
-    lexicon's analyses.  Threads
-    racing on a first lookup can at worst build a surface's entries twice
-    and make two equal label objects, which are the same symbol (entries
-    and labels compare structurally).
+    kept, so what a label computes once (sort key, notation) is computed
+    once per analysis, across texts.  Only hits are kept: an unknown
+    surface adds nothing, so the table is bounded by the lexicon's
+    analyses.  Threads racing on a first lookup can at worst build a
+    surface's entries twice and make two equal label objects, which are
+    the same symbol (entries and labels compare structurally).
     """
 
     simple: Mapping[str, tuple[LexiconEntry, ...]]
@@ -163,20 +162,19 @@ def _checked_parts(
 class _SimpleEntries(Mapping):
     """Simple entries by surface, read as a dict.  The load keeps each
     surface's checked lines as a flat list of ``lemma part, parsed code
-    tail`` pairs; the first read of the surface replaces the list by its
-    entries, in line order, the first of equal ones kept.  Building cannot
-    fail."""
+    tail`` pairs; each read builds the surface's entries from it, in line
+    order, the first of equal ones kept, and keeps nothing.  Building
+    cannot fail.  ``Lexicon.lookup`` keeps the tags it makes, so it reads
+    a surface at most once."""
 
-    def __init__(self, table: dict[str, list | tuple]):
+    def __init__(self, table: dict[str, list]):
         self._table = table
 
     def __getitem__(self, surface: str) -> tuple[LexiconEntry, ...]:
-        entries = self._table[surface]
-        if type(entries) is list:
-            pairs = zip(entries[::2], entries[1::2])
-            made = (LexiconEntry(surface, (surface,), "/".join(p.split()), *t) for p, t in pairs)
-            entries = self._table[surface] = tuple(dict.fromkeys(made))
-        return entries
+        lines = self._table[surface]
+        pairs = zip(lines[::2], lines[1::2])
+        made = (LexiconEntry(surface, (surface,), "/".join(p.split()), *t) for p, t in pairs)
+        return tuple(dict.fromkeys(made))
 
     def __iter__(self):
         return iter(self._table)
@@ -198,8 +196,8 @@ def load_lexicon(lines: Iterable[str], categories: tuple[str, ...]) -> Lexicon:
     (the ``CAT;SUB[+T]:FEATS`` part after the last ``.``) is parsed once per
     call, and lines with that tail share its immutable parse.  A tail that
     fails is not kept, so the first line that carries it is the one named.
-    Compound entries are built here; a simple surface's entries on its
-    first lookup, since a text meets few of a large lexicon's surfaces.
+    Compound entries are built here; a simple surface's entries when
+    read, since a text meets few of a large lexicon's surfaces.
     Equal entries share their surface, so repeats are dropped per surface."""
     simple: dict[str, list] = {}
     compounds: dict[str, list[LexiconEntry]] = {}

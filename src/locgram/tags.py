@@ -26,6 +26,9 @@ tags that satisfy it:
 Feature strings decompose into single-character atoms: ``P3s`` is the set
 {P, 3, s}.  Conformity of features is set inclusion, so ``<prendre:s>``
 matches every singular form of ``prendre``.
+
+A label keeps its notation and sort key once computed (``cached_property``);
+the lexicon keeps one label per analysis, so each is computed once per analysis.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 from .errors import TagFormatError
@@ -49,27 +52,6 @@ _GENDER = "mf"
 _NUMBER = "sp"
 
 FeatureSet = frozenset
-
-
-class _computed_once:
-    """Attribute computed on first access and stored on the instance,
-    like ``functools.cached_property`` but without the lock that class
-    takes on every first access before Python 3.12.  Labels are created by
-    the thousand per lattice, so that lock shows in profiles."""
-
-    def __init__(self, compute):
-        self.compute = compute
-        self.name = compute.__name__
-        self.__doc__ = compute.__doc__
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = self.compute(instance)
-        # object.__setattr__ gets past the frozen dataclass guard without
-        # touching ``__dict__``, which would slow every later attribute read
-        object.__setattr__(instance, self.name, value)
-        return value
 
 
 def _atom_rank(atom: str) -> int:
@@ -101,7 +83,6 @@ def parse_features(text: str, *, validate: bool = False) -> FeatureSet:
     return frozenset(atoms)
 
 
-@lru_cache(maxsize=4096)
 def format_features(features: FeatureSet) -> str:
     return "".join(sorted(features, key=lambda a: (_atom_rank(a), a)))
 
@@ -115,14 +96,8 @@ class Category:
     traits: tuple[str, ...] = ()
 
     def __str__(self) -> str:
-        return self._text
-
-    @_computed_once
-    def _text(self) -> str:
-        parts = [self.main]
-        parts.extend(f";{s}" for s in self.subcats)
-        parts.extend(f"[{t}]" for t in self.traits)
-        return "".join(parts)
+        subcats = "".join(f";{s}" for s in self.subcats)
+        return self.main + subcats + "".join(f"[{t}]" for t in self.traits)
 
 
 _CATEGORY_RE = re.compile(r"([^\[\]]+)((?:\[[^\[\]]*\])*)")
@@ -164,13 +139,13 @@ class CompleteTag:
     def notation(self) -> str:
         return self._notation
 
-    @_computed_once
+    @cached_property
     def _notation(self) -> str:
         feats = format_features(self.features)
         tail = f":{feats}" if feats else ""
         return f"<{self.lemma} {self.category}{tail}>"
 
-    @_computed_once
+    @cached_property
     def sort_key(self) -> tuple:
         """Total, injective ordering key over edge labels: separators
         first, then tags by surface, lemma, category, features and
@@ -204,7 +179,7 @@ class Separator:
     def notation(self) -> str:
         return self.char
 
-    @_computed_once
+    @cached_property
     def sort_key(self) -> tuple:
         """Separators sort before tags; see ``CompleteTag.sort_key``."""
         return (0, self.char, "", "", "", False)
@@ -254,7 +229,6 @@ class AnyWord:
 
 EdgeLabel = Union[CompleteTag, Separator]
 IncompleteTag = Union[LemmaPattern, CategoryPattern, SurfaceForm, AnyWord, Separator]
-TagSequence = tuple  # ordered edge labels describing a contiguous span
 
 
 def _is_simple_form_text(text: str) -> bool:
@@ -293,6 +267,14 @@ def parse_complete_tag(
     return CompleteTag(surface, lemma, category, features, compound)
 
 
+def parse_separator(text: str) -> Separator:
+    """The separator ``text`` writes: one ``SEPARATOR_CHARS`` character,
+    the only kind the tokenizer makes."""
+    if len(text) != 1 or text not in SEPARATOR_CHARS:
+        raise TagFormatError(f"neither a bracketed tag nor one separator character: {text!r}")
+    return Separator(text)
+
+
 def parse_incomplete_tag(text: str, categories: Iterable[str]) -> IncompleteTag:
     """Parse a constraint pattern.
 
@@ -324,8 +306,8 @@ def parse_incomplete_tag(text: str, categories: Iterable[str]) -> IncompleteTag:
         if not all(_is_simple_form_text(part) for part in head.split("/")):
             raise TagFormatError(f"malformed lemma {head!r}")
         return LemmaPattern(head, features)
-    if len(stripped) == 1 and stripped in SEPARATOR_CHARS:
-        return Separator(stripped)
+    if stripped[0] in SEPARATOR_CHARS:
+        return parse_separator(stripped)
     if not _is_simple_form_text(stripped):
         raise TagFormatError(f"surface pattern must be one simple form: {text!r}")
     return SurfaceForm(stripped)

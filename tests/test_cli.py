@@ -323,6 +323,18 @@ class TestCheck:
         assert code == 0
         assert out.startswith("CORPUS-ERROR s1 ")
 
+    def test_bare_word_in_gold_is_named(self, capsys, tmp_path):
+        # bare text in a gold line is a separator or nothing: the message
+        # names the piece, not a lexicon mismatch of its letters
+        corpus = tmp_path / "bare.txt"
+        corpus.write_text(
+            "T: Ne lui dis pas\nG: <ne XI> lui <dire V:Y2s> <pas ADV>\n", encoding="utf-8"
+        )
+        code, out, _ = run(capsys, "check", "--grammar", NE_VERB, str(corpus))
+        assert code == 0
+        assert out.startswith("CORPUS-ERROR s1 ") and "'lui'" in out
+        assert "not admitted" not in out
+
 
 class TestExitCodes:
     def test_internal_error_exits_6(self, capsys, monkeypatch):
@@ -671,6 +683,18 @@ class TestDiffOracle:
     def test_seed_takes_limit(self, capsys):
         code, out, _ = run(capsys, "diff-oracle", "--seed", "7", "--limit", "2000")
         assert (code, out.strip()) == (0, "EQUAL (50 randomized instances, seed=7)")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("--grammar", CHAIN, CONFIRM_CHAIN), ("--seed", "0")],
+        ids=["text", "seed"],
+    )
+    def test_mismatch_exits_1(self, capsys, monkeypatch, argv):
+        # an oracle whose language is the empty sequence alone
+        monkeypatch.setattr(engine, "filter_oracle", lambda g, l, limit: Lattice.build(0, 0, []))
+        code, out, err = run(capsys, "diff-oracle", *argv)
+        assert code == 1
+        assert out.startswith("MISMATCH") and err == ""
 
 
 class TestDeterminism:

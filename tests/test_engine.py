@@ -22,7 +22,7 @@ from locgram.engine import (
     resolve_tag_sequence,
     silence_check,
 )
-from locgram.errors import CorpusFormatError
+from locgram.errors import CorpusFormatError, TagFormatError
 from locgram.grammar import load_grammar
 from locgram.lexicon import TokenKind, compound_matches, expand_entry, load_lexicon
 from locgram.lattice import (
@@ -161,6 +161,8 @@ class TestAccepts:
             accepts(grammars["ne-verb"], p, l)
         with pytest.raises(ValueError, match="does not join"):
             accepts(grammars["ne-verb"], p[:-1], other)
+        with pytest.raises(ValueError, match="does not continue"):
+            accepts(grammars["ne-verb"], p[1:], other)
 
     def test_invariant_under_dead_branches(self, grammars, lattices, find_path):
         # out of every state hangs a dead copy of the whole lattice: it
@@ -549,6 +551,17 @@ class TestMaskTables:
         for p in paths:
             assert accepts(g, p, l) == accepts_case_a(g, p, l) == accepts_case_b(g, p, l)
         assert 0 < len(mask_calls) <= 2 * len(l.edges)
+
+
+class TestParseTagSequence:
+    def test_bare_separators_alone_or_adjacent(self, categories):
+        labels = parse_tag_sequence("<il PRO:3ms> -, <faire V:P3s> .", categories)
+        assert labels[1:3] == [Separator("-"), Separator(",")] and labels[4] == Separator(".")
+
+    @pytest.mark.parametrize("gold, piece", [("<ne XI> lui <pas ADV>", "lui"), ("l' <a N>", "l")])
+    def test_other_bare_text_is_named(self, categories, gold, piece):
+        with pytest.raises(TagFormatError, match=f"separator character: {piece!r}$"):
+            parse_tag_sequence(gold, categories)
 
 
 class TestLoadCorpus:

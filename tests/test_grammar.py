@@ -15,7 +15,7 @@ from locgram.grammar import (
     to_dot,
     union,
 )
-from locgram.tags import CategoryPattern, Separator, SurfaceForm
+from locgram.tags import CategoryPattern, LemmaPattern, Separator, SurfaceForm
 
 CATS = ("V", "N", "A", "ADV", "PRO", "DET", "PREP", "CNJS", "CNJC", "XI", "INT")
 
@@ -222,6 +222,7 @@ class TestClassify:
         assert output_implies_input(v, v)
         assert not output_implies_input(CategoryPattern("PRO"), CategoryPattern("DET"))
         assert output_implies_input(Separator("-"), Separator("-"))
+        assert not output_implies_input(LemmaPattern("x"), CategoryPattern("V"))
 
     def test_union_class_is_weakest_member(self, grammars):
         for a, b in itertools.combinations(grammars.values(), 2):

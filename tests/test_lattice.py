@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from locgram import build_initial_lattice, lattice as lattice_module, load_lexicon, tokenize, union
 from locgram.engine import _trie_lattice, filter as filter_lattice, filter_oracle
-from locgram.errors import EnumerationOverflow, LatticeFormatError
+from locgram.errors import EnumerationOverflow, InputError, LatticeFormatError
 from locgram.grammar import load_grammar
 from locgram.lattice import (
     Lattice,
@@ -492,6 +492,14 @@ class TestJson:
         bad = '{"states": [0, 1], "initial": 0, "final": 1, "edges": [{"from": 0, "to": 1, "surface": "-", "tag": "?"}]}'
         with pytest.raises(LatticeFormatError):
             from_json(bad, categories)
+
+    @pytest.mark.parametrize("text", ["xyz", "--", ""])
+    def test_bare_tag_must_be_one_separator(self, categories, text):
+        # the CLI exits 4 on an ``InputError``
+        edge = {"from": 0, "to": 1, "surface": text, "tag": text}
+        doc = {"states": [0, 1], "initial": 0, "final": 1, "edges": [edge]}
+        with pytest.raises(InputError, match="separator character"):
+            from_json(json.dumps(doc), categories)
 
     def test_dead_branch_and_isolated_state_dropped(self, categories):
         def doc(states, edges):

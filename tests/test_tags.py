@@ -145,6 +145,8 @@ class TestParseIncompleteTag:
             ("<:s>", "missing head"),
             ("<MOT:s>", "takes no features"),
             ("<a b>", "malformed lemma"),
+            ("--", "one separator character"),
+            ("-a", "one separator character"),
         ],
     )
     def test_malformed_pattern_rejected(self, text, message):
@@ -173,6 +175,10 @@ class TestConforms:
     def test_surface_form_uses_attached_surface(self):
         assert conforms(complete("<être V:P1s>", surface="suis"), incomplete("suis"))
         assert not conforms(complete("<être V:P1s>"), incomplete("suis"))
+
+    def test_non_pattern_raises(self):
+        with pytest.raises(TypeError, match="not an incomplete tag"):
+            conforms(complete("<fait N:ms>"), "x")
 
     def test_category_ignores_subcats_and_traits(self):
         assert conforms(complete("<ne XI[+Préd]>"), incomplete("<XI>"))
