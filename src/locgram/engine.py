@@ -195,10 +195,14 @@ def _walk(t: _Tables, p: Sequence[Edge], masks: list[int]) -> tuple:
     edges, starts, index = t.l.edges, t.l._starts, t.index
     q, ok, free = t.l.initial, [], []
     for e in p:
-        try:  # identity is tried first; equal edges have equal masks
-            i = edges.index(e, starts[q], starts[q + 1])
-        except ValueError:
-            raise ValueError(f"edge {e!r} does not continue a path of the lattice") from None
+        for i in range(starts[q], starts[q + 1]):  # the lattice's own edge object
+            if edges[i] is e:
+                break
+        else:  # else an equal edge, with equal masks: only here are labels compared
+            try:
+                i = edges.index(e, starts[q], starts[q + 1])
+            except ValueError:
+                raise ValueError(f"edge {e!r} does not continue a path of the lattice") from None
         ok.append(masks[i])
         free.append(not index[q])
         q = e.dst

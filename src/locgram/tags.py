@@ -96,8 +96,7 @@ class Category:
     traits: tuple[str, ...] = ()
 
     def __str__(self) -> str:
-        subcats = "".join(f";{s}" for s in self.subcats)
-        return self.main + subcats + "".join(f"[{t}]" for t in self.traits)
+        return "".join([self.main, *(f";{s}" for s in self.subcats), *(f"[{t}]" for t in self.traits)])
 
 
 _CATEGORY_RE = re.compile(r"([^\[\]]+)((?:\[[^\[\]]*\])*)")

@@ -37,7 +37,7 @@ from locgram.lattice import (
     to_json,
 )
 from locgram.randgen import random_instance
-from locgram.tags import Separator, conforms, parse_complete_tag
+from locgram.tags import CompleteTag, Separator, conforms, parse_complete_tag
 from conftest import LONG_REPEATS, LONG_TEXT, SENTENCES, assert_live, renamed, union_lattice
 
 CATS = ("V", "N", "A", "ADV", "PRO", "DET", "PREP", "CNJS", "CNJC", "XI", "INT")
@@ -179,6 +179,19 @@ class TestAccepts:
         assert with_dead == l
         for g in grammars.values():
             assert accepts(g, p, with_dead) == accepts(g, p, l)
+
+    def test_own_path_edges_are_not_compared_by_value(self, grammars, lattices, monkeypatch):
+        # a label's __eq__ is a Python call; walking a path of the lattice's
+        # own edges finds each one by identity, however many share its span
+        l, g = lattices["confirm-chain"], grammars["de-ce-que-chain"]
+        decompose(g, next(iter_paths(l)), l)  # the tables, built
+        calls = []
+        for cls in (CompleteTag, Separator):
+            eq = cls.__eq__
+            monkeypatch.setattr(cls, "__eq__", lambda a, b, eq=eq: calls.append(a) or eq(a, b))
+        for p in islice(iter_paths(l), 300):
+            decompose(g, p, l)
+        assert calls == []
 
     def test_dead_branch_does_not_decide_a_verdict(self):
         # the dead branch <c N> would make the initial state matchable for
