@@ -30,7 +30,7 @@ from locgram.lattice import Lattice, iter_paths, language, language_equal, minim
 from locgram.randgen import random_instance
 from locgram.tags import parse_complete_tag
 
-DAG_LABELS = [parse_complete_tag(t) for t in ("<ga N:ms>", "<bo V:P3s>", "<ti A>")]
+DAG_LABELS = [parse_complete_tag(t, ("N", "V", "A")) for t in ("<ga N:ms>", "<bo V:P3s>", "<ti A>")]
 
 
 def random_dag(rng):

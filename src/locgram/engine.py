@@ -60,8 +60,8 @@ from typing import Iterable, Sequence
 from .errors import CorpusFormatError, TagFormatError, UnknownWordError
 from .grammar import GrammarClass, LocalGrammar, classify
 from .lattice import DEFAULT_PATH_LIMIT, Edge, Lattice, Path, _reached, all_paths, path_labels
-from .lexicon import Lexicon, build_initial_lattice, tokenize
-from .tags import SEPARATOR_CHARS, EdgeLabel, Separator, parse_complete_tag, parse_separator
+from .lexicon import Lexicon, _content_lines, build_initial_lattice, tokenize
+from .tags import SEPARATOR_CHARS, EdgeLabel, Separator, parse_label
 
 MatchableIndex = dict  # lattice state -> bool
 _label = itemgetter(2)  # an edge's label
@@ -387,10 +387,8 @@ def parse_tag_sequence(text: str, categories: Iterable[str]) -> list[EdgeLabel]:
     """Parse a whitespace-separated sequence of complete tags and bare
     separator characters, e.g. ``<faire V:P3s> - <il PRO:3ms>``.  Other
     bare text is refused, each run of it as one piece."""
-    return [
-        parse_complete_tag(piece, categories) if piece.startswith("<") else parse_separator(piece)
-        for piece in re.findall(rf"<[^<>]*>|[^\s<>{re.escape(SEPARATOR_CHARS)}]+|\S", text)
-    ]
+    pieces = re.findall(rf"<[^<>]*>|[^\s<>{re.escape(SEPARATOR_CHARS)}]+|\S", text)
+    return [parse_label(piece, categories) for piece in pieces]
 
 
 def _label_matches_gold(edge_label: EdgeLabel, gold: EdgeLabel) -> bool:
@@ -499,10 +497,7 @@ def load_corpus(lines: Iterable[str]) -> list[CorpusItem]:
     items = []
     pending_text = None
     count = 0
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in _content_lines(lines):
         if line.startswith("T:"):
             if pending_text is not None:
                 raise CorpusFormatError(f"line {line_no}: text line without a gold line before it")

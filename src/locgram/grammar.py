@@ -25,7 +25,7 @@ from functools import cached_property
 from typing import Hashable, Iterable, Sequence
 
 from .errors import GrammarFormatError
-from .lattice import _dot_quoted, _reached_both_ways
+from .lattice import _check_id_types, _dot, _dot_quoted, _number_states, _reached_both_ways, _read_document
 from .tags import (
     AnyWord,
     CategoryPattern,
@@ -87,24 +87,15 @@ class GrammarClass(enum.IntEnum):
 
 
 def _validate(g: LocalGrammar) -> LocalGrammar:
-    number: dict[Hashable, int] = {}
+    ends = [g.initial, *g.finals, *(q for t in g.transitions for q in (t.src, t.dst))]
+    number = _number_states(GrammarFormatError, g.states, ends)
     names: dict[str, Hashable] = {}  # to_dot draws a state by its str
     for s in g.states:
-        if s in number:
-            raise GrammarFormatError(f"repeated state id {s!r}")
         other = names.setdefault(str(s), s)
         if other != s:
             raise GrammarFormatError(f"state ids {other!r} and {s!r} print alike")
-        number[s] = len(number)
-    if g.initial not in number:
-        raise GrammarFormatError(f"initial state {g.initial!r} not declared")
     if not g.finals:
         raise GrammarFormatError("grammar has no final state")
-    if not g.finals <= number.keys():
-        raise GrammarFormatError("final states must be declared states")
-    for t in g.transitions:
-        if t.src not in number or t.dst not in number:
-            raise GrammarFormatError(f"transition endpoint not declared: {t.src!r} -> {t.dst!r}")
     arcs = [(number[t.src], number[t.dst]) for t in g.transitions]
     reached = _reached_both_ways(len(number), arcs, [number[g.initial]], map(number.__getitem__, g.finals))
     for problem, marks in zip(("unreachable states", "states reaching no final state"), reached):
@@ -116,21 +107,14 @@ def _validate(g: LocalGrammar) -> LocalGrammar:
 
 def load_grammar(text: str, categories: Iterable[str]) -> LocalGrammar:
     """Parse and validate a grammar document."""
+    fields = ("name", "states", "initial", "finals", "transitions")
+    arrays = ("states", "finals", "transitions")
+    name, states, initial, finals, items = _read_document(text, GrammarFormatError, fields, arrays)
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GrammarFormatError(f"invalid JSON: {exc}") from exc
-    try:
-        name, initial = doc["name"], doc["initial"]
-        states, finals, items = doc["states"], doc["finals"], doc["transitions"]
-        if not all(isinstance(v, list) for v in (states, finals, items)):
-            raise TypeError("states, finals and transitions must be JSON arrays")
-        ids = [*states, initial, *finals, *(q for item in items for q in (item["from"], item["to"]))]
+        ends = [q for item in items for q in (item["from"], item["to"])]
     except (KeyError, TypeError) as exc:
-        raise GrammarFormatError(f"missing or malformed grammar field: {exc}") from exc
-    bad = [q for q in ids if type(q) not in (int, str)]  # bool and float too, though ``True == 1.0 == 1``
-    if bad:
-        raise GrammarFormatError(f"state ids must be integers or strings, not {bad[0]!r}")
+        raise GrammarFormatError(f"transition needs from and to members: {exc}") from exc
+    _check_id_types(GrammarFormatError, [*states, initial, *finals, *ends])
     if not isinstance(name, str):
         raise GrammarFormatError(f"grammar name must be a string, not {name!r}")
     categories = tuple(categories)
@@ -246,19 +230,7 @@ def path_label_pairs(g: LocalGrammar, max_len: int) -> frozenset:
 
 
 def to_dot(g: LocalGrammar) -> str:
-    """Deterministic DOT rendering with ``in / out`` edge labels."""
-    lines = [
-        "digraph grammar {",
-        "  rankdir=LR;",
-        "  node [shape=circle];",
-        f"  {_dot_quoted(str(g.initial))} [style=bold];",
-    ]
-    for s in sorted(map(str, g.finals)):
-        lines.append(f"  {_dot_quoted(s)} [shape=doublecircle];")
-    rendered = sorted(
-        (str(t.src), str(t.dst), f"{t.inp.notation()} / {t.out.notation()}") for t in g.transitions
-    )
-    for src, dst, label in rendered:
-        lines.append(f"  {_dot_quoted(src)} -> {_dot_quoted(dst)} [label={_dot_quoted(label)}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    """Deterministic DOT rendering with ``in / out`` edge labels, sorted
+    by the states as written."""
+    rendered = sorted((str(t.src), str(t.dst), f"{t.inp.notation()} / {t.out.notation()}") for t in g.transitions)
+    return _dot("grammar", lambda s: _dot_quoted(str(s)), g.initial, sorted(map(str, g.finals)), rendered)

@@ -40,10 +40,10 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import accumulate, pairwise
 from operator import attrgetter, itemgetter
-from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import EnumerationOverflow, LatticeFormatError
-from .tags import EdgeLabel, parse_complete_tag, parse_separator
+from .errors import EnumerationOverflow, InputError, LatticeFormatError
+from .tags import EdgeLabel, Separator, parse_label
 
 DEFAULT_PATH_LIMIT = 100_000
 
@@ -320,17 +320,18 @@ def minimize(l: Lattice) -> Lattice:
 
 
 def to_dot(l: Lattice) -> str:
-    """Render as a DOT digraph, one edge per transition.  Output is
-    deterministic: byte-identical across runs for equal lattices."""
-    lines = [
-        "digraph lattice {",
-        "  rankdir=LR;",
-        "  node [shape=circle];",
-        f"  {l.initial} [style=bold];",
-        f"  {l.final} [shape=doublecircle];",
-    ]
-    for e in l.edges:
-        lines.append(f"  {e.src} -> {e.dst} [label={_dot_quoted(e.label.notation())}];")
+    """Render in DOT, one edge per transition.  Output is deterministic:
+    byte-identical across runs for equal lattices."""
+    return _dot("lattice", str, l.initial, [l.final], [(e.src, e.dst, e.label.notation()) for e in l.edges])
+
+
+def _dot(name: str, node: Callable, initial, finals: Iterable, edges: Iterable[tuple]) -> str:
+    """The DOT graph ``name`` drawn left to right: ``initial`` in bold,
+    ``finals`` doubly circled, then one arrow per ``(src, dst, label)``,
+    in the order given.  ``node`` writes a state; a label is quoted."""
+    lines = [f"digraph {name} {{", "  rankdir=LR;", "  node [shape=circle];", f"  {node(initial)} [style=bold];"]
+    lines += [f"  {node(q)} [shape=doublecircle];" for q in finals]
+    lines += [f"  {node(src)} -> {node(dst)} [label={_dot_quoted(label)}];" for src, dst, label in edges]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -368,19 +369,52 @@ def to_json(l: Lattice) -> str:
     )
 
 
-def from_json(text: str, categories: Iterable[str]) -> Lattice:
-    """Read a ``to_json`` document, whose ``states`` declare each state id
-    once; ``Lattice.build`` drops what is on no path."""
+def _read_document(text: str, error: type[InputError], fields: Sequence[str], arrays: Sequence[str]) -> list:
+    """The values of ``fields`` in the JSON object ``text``, in order.
+    Raises ``error`` on invalid JSON, on a document that is no object or
+    lacks a field, and on a field of ``arrays`` that is no JSON array."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise LatticeFormatError(f"invalid JSON: {exc}") from exc
-    try:
-        states, initial, final, raw_edges = doc["states"], doc["initial"], doc["final"], doc["edges"]
-        if not (isinstance(states, list) and isinstance(raw_edges, list)):
-            raise TypeError("states and edges must be JSON arrays")
-    except (KeyError, TypeError) as exc:
-        raise LatticeFormatError(f"missing or malformed lattice field: {exc}") from exc
+        raise error(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error("the document is not a JSON object")
+    for field in fields:
+        if field not in doc:
+            raise error(f"missing field {field!r}")
+    for field in arrays:
+        if not isinstance(doc[field], list):
+            raise error(f"field {field!r} must be a JSON array")
+    return [doc[field] for field in fields]
+
+
+def _check_id_types(error: type[InputError], ids: Iterable) -> None:
+    """Raise ``error`` on the first state id of a JSON document that is no
+    integer or string: ``True == 1.0 == 1`` would pass for the state 1."""
+    for q in ids:
+        if type(q) not in (int, str):
+            raise error(f"state ids must be integers or strings, not {q!r}")
+
+
+def _number_states(error: type[InputError], states: Iterable[Hashable], used: Iterable[Hashable]) -> dict:
+    """Each of ``states`` numbered in order.  Raises ``error`` on a
+    repeated state and on one of ``used`` that is not among them."""
+    number: dict[Hashable, int] = {}
+    for q in states:
+        if q in number:
+            raise error(f"repeated state id {q!r}")
+        number[q] = len(number)
+    for q in used:
+        if q not in number:
+            raise error(f"state id {q!r} is not declared in states")
+    return number
+
+
+def from_json(text: str, categories: Iterable[str]) -> Lattice:
+    """Read a ``to_json`` document, whose ``states`` declare each state id
+    once; ``Lattice.build`` drops what is on no path."""
+    fields = ("states", "initial", "final", "edges")
+    states, initial, final, raw_edges = _read_document(text, LatticeFormatError, fields, ("states", "edges"))
     edges = []
     for item in raw_edges:
         if not isinstance(item, dict):
@@ -388,20 +422,11 @@ def from_json(text: str, categories: Iterable[str]) -> Lattice:
         src, dst, tag_text, surface = map(item.get, ("from", "to", "tag", "surface"))
         if not (isinstance(tag_text, str) and isinstance(surface, str)):
             raise LatticeFormatError(f"edge needs string tag and surface members: {item!r}")
-        if tag_text.startswith("<"):
-            label: EdgeLabel = parse_complete_tag(tag_text, categories, surface=surface)
-        else:
-            if tag_text != surface:
-                raise LatticeFormatError(f"separator edge with mismatched surface: {item!r}")
-            label = parse_separator(tag_text)
+        label = parse_label(tag_text, categories, surface)
+        if isinstance(label, Separator) and tag_text != surface:
+            raise LatticeFormatError(f"separator edge with mismatched surface: {item!r}")
         edges.append((src, dst, label))
-    ids = [*states, initial, final, *(q for e in edges for q in e[:2])]
-    if not all(type(q) in (int, str) for q in ids):  # not bool, though ``True == 1``
-        raise LatticeFormatError(f"state ids must be integers or strings: {ids!r}")
-    declared = set(states)
-    if len(declared) != len(states):
-        raise LatticeFormatError("states repeat a state id")
-    undeclared = [q for q in ids if q not in declared]
-    if undeclared:
-        raise LatticeFormatError(f"state id {undeclared[0]!r} is not declared in states")
+    ends = [initial, final, *(q for e in edges for q in e[:2])]
+    _check_id_types(LatticeFormatError, [*states, *ends])
+    _number_states(LatticeFormatError, states, ends)
     return Lattice.build(initial, final, edges)

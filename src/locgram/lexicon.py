@@ -18,7 +18,7 @@ load checks every line; a simple surface's entries are built when read.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
@@ -122,13 +122,19 @@ def expand_entry(entry: LexiconEntry) -> tuple[CompleteTag, ...]:
     )
 
 
+def _content_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """Each line, stripped, with its number from 1, but for blank lines
+    and ``#`` comments: what every line-based input format reads."""
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield line_no, line
+
+
 def load_categories(lines: Iterable[str]) -> tuple[str, ...]:
     """Read the category inventory, one main code per line."""
     codes: list[str] = []
-    for raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for _, line in _content_lines(lines):
         if line not in codes:
             codes.append(line)
     if not codes:
@@ -202,10 +208,7 @@ def load_lexicon(lines: Iterable[str], categories: tuple[str, ...]) -> Lexicon:
     simple: dict[str, list] = {}
     compounds: dict[str, list[LexiconEntry]] = {}
     parsed: dict[str, tuple] = {}  # code tail -> (category, alternatives)
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in _content_lines(lines):
         surface, part, tail = _checked_parts(line, line_no, categories, parsed)
         pairs = simple.get(surface)
         if pairs is None:

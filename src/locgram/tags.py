@@ -87,6 +87,12 @@ def format_features(features: FeatureSet) -> str:
     return "".join(sorted(features, key=lambda a: (_atom_rank(a), a)))
 
 
+def _feature_tail(features: FeatureSet) -> str:
+    """The ``:FEATS`` tail that every notation writes, or nothing."""
+    feats = format_features(features)
+    return f":{feats}" if feats else ""
+
+
 @dataclass(frozen=True)
 class Category:
     """Main category code plus optional subcategories and bracketed traits."""
@@ -102,7 +108,7 @@ class Category:
 _CATEGORY_RE = re.compile(r"([^\[\]]+)((?:\[[^\[\]]*\])*)")
 
 
-def parse_category(text: str, categories: Iterable[str] | None) -> Category:
+def parse_category(text: str, categories: Iterable[str]) -> Category:
     m = _CATEGORY_RE.fullmatch(text.strip())
     if not m:
         raise TagFormatError(f"malformed category part {text!r}")
@@ -118,7 +124,7 @@ def parse_category(text: str, categories: Iterable[str] | None) -> Category:
     subcats = tuple(parts[1:])
     if not main:
         raise TagFormatError(f"missing main category in {text!r}")
-    if categories is not None and main not in set(categories):
+    if main not in set(categories):
         raise TagFormatError(f"unknown main category {main!r}")
     if any(not s for s in subcats):
         raise TagFormatError(f"empty subcategory in {text!r}")
@@ -140,9 +146,7 @@ class CompleteTag:
 
     @cached_property
     def _notation(self) -> str:
-        feats = format_features(self.features)
-        tail = f":{feats}" if feats else ""
-        return f"<{self.lemma} {self.category}{tail}>"
+        return f"<{self.lemma} {self.category}{_feature_tail(self.features)}>"
 
     @cached_property
     def sort_key(self) -> tuple:
@@ -160,9 +164,7 @@ class CompleteTag:
 
     def display(self) -> str:
         """Lexicon-entry style rendering, ``lemma.CAT:FEATS``."""
-        feats = format_features(self.features)
-        tail = f":{feats}" if feats else ""
-        return f"{self.lemma}.{self.category}{tail}"
+        return f"{self.lemma}.{self.category}{_feature_tail(self.features)}"
 
 
 @dataclass(frozen=True)
@@ -192,8 +194,7 @@ class LemmaPattern:
     features: FeatureSet = frozenset()
 
     def notation(self) -> str:
-        feats = format_features(self.features)
-        return f"<{self.lemma}:{feats}>" if feats else f"<{self.lemma}>"
+        return f"<{self.lemma}{_feature_tail(self.features)}>"
 
 
 @dataclass(frozen=True)
@@ -204,8 +205,7 @@ class CategoryPattern:
     features: FeatureSet = frozenset()
 
     def notation(self) -> str:
-        feats = format_features(self.features)
-        return f"<{self.main}:{feats}>" if feats else f"<{self.main}>"
+        return f"<{self.main}{_feature_tail(self.features)}>"
 
 
 @dataclass(frozen=True)
@@ -234,11 +234,7 @@ def _is_simple_form_text(text: str) -> bool:
     return bool(text) and not any(ch.isspace() or ch in SEPARATOR_CHARS for ch in text)
 
 
-def parse_complete_tag(
-    text: str,
-    categories: Iterable[str] | None = None,
-    surface: str | None = None,
-) -> CompleteTag:
+def parse_complete_tag(text: str, categories: Iterable[str], surface: str | None = None) -> CompleteTag:
     """Parse ``<lemma CAT(;SUB)*([+TRAIT])*(:FEATS)?>`` notation.
 
     ``surface`` supplies the attached form out of band; it defaults to the
@@ -272,6 +268,14 @@ def parse_separator(text: str) -> Separator:
     if len(text) != 1 or text not in SEPARATOR_CHARS:
         raise TagFormatError(f"neither a bracketed tag nor one separator character: {text!r}")
     return Separator(text)
+
+
+def parse_label(text: str, categories: Iterable[str], surface: str | None = None) -> EdgeLabel:
+    """An edge label's text: a bracketed complete tag, attached to
+    ``surface`` as in ``parse_complete_tag``, or one separator character."""
+    if text.startswith("<"):
+        return parse_complete_tag(text, categories, surface)
+    return parse_separator(text)
 
 
 def parse_incomplete_tag(text: str, categories: Iterable[str]) -> IncompleteTag:

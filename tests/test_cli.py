@@ -1,7 +1,9 @@
 import hashlib
 import importlib.util
 import json
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -400,7 +402,7 @@ class TestExitCodes:
         )
         code, out, err = run(capsys, "apply", "--grammar", str(path), "Ne lui dis pas")
         assert (code, out) == (4, "")
-        assert "arrays" in err
+        assert "field 'finals' must be a JSON array" in err
 
     def test_bool_grammar_state_exits_4(self, capsys, tmp_path):
         # ``true == 1``: read as the state 1, the chain <V> pas would end in a pas loop
@@ -733,3 +735,16 @@ class TestBenchmarkCatalogue:
             if got != want:
                 mismatches.append((argv, got, want))
         assert mismatches == []
+
+
+class TestCommittedScriptOutputs:
+    @pytest.mark.parametrize("script", ["output_digest", "show_worked_examples"])
+    def test_stdout_matches_expected_file(self, script):
+        """Run with its default arguments, the script prints its committed
+        ``scripts/<script>.expected`` byte for byte."""
+        env = {**os.environ, "PYTHONPATH": "src"}
+        proc = subprocess.run(
+            [sys.executable, f"scripts/{script}.py"], cwd=ROOT, env=env, capture_output=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+        assert proc.stdout == (ROOT / "scripts" / f"{script}.expected").read_bytes()

@@ -86,23 +86,28 @@ class TestLoadGrammar:
             )
 
     @pytest.mark.parametrize(
-        "change",
+        "change, match",
         [
-            {"transitions": [{"to": 1, "in": "ne", "out": "<XI>"}]},
-            {"transitions": 5},
-            {"states": [[0], 1]},
-            {"initial": [0]},
-            {"transitions": [{"from": [0], "to": 1, "in": "ne", "out": "<XI>"}]},
-            {"name": 5},
-            {"initial": 5},
-            {"finals": [1, 7]},
-            {"transitions": [{"from": 0, "to": 9, "in": "ne", "out": "<XI>"}]},
+            ({"transitions": [{"to": 1, "in": "ne", "out": "<XI>"}]}, "needs from and to members: 'from'"),
+            ({"transitions": 5}, "field 'transitions' must be a JSON array"),
+            ({"states": [[0], 1]}, r"state ids must be integers or strings, not \[0\]"),
+            ({"initial": [0]}, r"state ids must be integers or strings, not \[0\]"),
+            ({"transitions": [{"from": [0], "to": 1, "in": "ne", "out": "<XI>"}]}, r"strings, not \[0\]"),
+            ({"name": 5}, "grammar name must be a string, not 5"),
+            ({"initial": 5}, "state id 5 is not declared in states"),
+            ({"finals": [1, 7]}, "state id 7 is not declared in states"),
+            ({"transitions": [{"from": 0, "to": 9, "in": "ne", "out": "<XI>"}]}, "state id 9 is not declared"),
             # ``True == 1.0 == 1``: these ids would pass for the states 0 and 1
-            {"states": [0, True]},
-            {"initial": 0.0},
-            {"finals": [1.0]},
-            {"transitions": [{"from": 0, "to": True, "in": "ne", "out": "<XI>"}]},
-            {"states": [0, 1, None], "transitions": [{"from": 0, "to": None, "in": "ne", "out": "<XI>"}]},
+            ({"states": [0, True]}, "state ids must be integers or strings, not True"),
+            ({"initial": 0.0}, "state ids must be integers or strings, not 0.0"),
+            ({"finals": [1.0]}, "state ids must be integers or strings, not 1.0"),
+            ({"transitions": [{"from": 0, "to": True, "in": "ne", "out": "<XI>"}]}, "strings, not True"),
+            ({"states": [0, 1, None], "transitions": [{"from": 0, "to": None, "in": "ne", "out": "<XI>"}]},
+             "state ids must be integers or strings, not None"),
+            ({"states": [0, 1, 1]}, "repeated state id 1"),
+            ("{", "^invalid JSON: "),
+            ("[0, 1]", "^the document is not a JSON object$"),
+            ('{"name": "g", "states": [0], "initial": 0, "finals": [0]}', "^missing field 'transitions'$"),
         ],
         ids=[
             "transition-without-from",
@@ -119,9 +124,14 @@ class TestLoadGrammar:
             "float-final-state",
             "bool-transition-endpoint",
             "null-state-id",
+            "repeated-state",
+            "invalid-json",
+            "not-an-object",
+            "missing-field",
         ],
     )
-    def test_malformed_document_rejected(self, change):
+    def test_malformed_document_rejected(self, change, match):
+        # a string ``change`` is the whole document
         doc = {
             "name": "g",
             "states": [0, 1],
@@ -129,8 +139,8 @@ class TestLoadGrammar:
             "finals": [1],
             "transitions": [{"from": 0, "to": 1, "in": "ne", "out": "<XI>"}],
         }
-        with pytest.raises(GrammarFormatError):
-            make({**doc, **change})
+        with pytest.raises(GrammarFormatError, match=match):
+            load_grammar(change, CATS) if isinstance(change, str) else make({**doc, **change})
 
     @pytest.mark.parametrize("field", ["states", "finals", "transitions"])
     def test_string_where_an_array_belongs_rejected(self, field):
@@ -142,7 +152,7 @@ class TestLoadGrammar:
             "finals": ["a", "b"],
             "transitions": [{"from": "a", "to": "b", "in": "ne", "out": "<XI>"}],
         }
-        with pytest.raises(GrammarFormatError, match="arrays"):
+        with pytest.raises(GrammarFormatError, match=f"field '{field}' must be a JSON array"):
             make({**doc, field: "ab"})
 
     @pytest.mark.parametrize(

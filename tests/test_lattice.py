@@ -510,10 +510,6 @@ class TestJson:
         assert from_json(doc([0, 1, 2, 3, 9], [(0, 1), (1, 2), (0, 3)]), categories) == live
         assert live.n_states == 3
 
-    def test_invalid_json_rejected(self, categories):
-        with pytest.raises(LatticeFormatError):
-            from_json("{", categories)
-
     @pytest.mark.parametrize(
         "edge",
         [
@@ -530,19 +526,26 @@ class TestJson:
             from_json(json.dumps(doc), categories)
 
     @pytest.mark.parametrize(
-        "change",
+        "change, match",
         [
-            {"final": True},
-            {"edges": [{"from": False, "to": 1, "surface": "-", "tag": "-"}]},
-            {"states": "01"},
-            {"edges": {"from": 0, "to": 1, "surface": "-", "tag": "-"}},
-            {"states": []},
-            {"states": [0]},
-            {"initial": 2},
-            {"edges": [{"from": 0, "to": 2, "surface": "-", "tag": "-"}]},
-            {"states": [0, 0, 0], "initial": "a", "final": "b",
-             "edges": [{"from": "a", "to": "b", "surface": "-", "tag": "-"}]},
-            {"states": [0, 1, 1]},
+            ({"final": True}, "state ids must be integers or strings, not True"),
+            ({"edges": [{"from": False, "to": 1, "surface": "-", "tag": "-"}]}, "integers or strings, not False"),
+            ({"states": "01"}, "field 'states' must be a JSON array"),
+            ({"edges": {"from": 0, "to": 1, "surface": "-", "tag": "-"}}, "field 'edges' must be a JSON array"),
+            ({"states": []}, "state id 0 is not declared in states"),
+            ({"states": [0]}, "state id 1 is not declared in states"),
+            ({"initial": 2}, "state id 2 is not declared in states"),
+            ({"edges": [{"from": 0, "to": 2, "surface": "-", "tag": "-"}]}, "state id 2 is not declared"),
+            ({"states": [0, 0, 0], "initial": "a", "final": "b",
+              "edges": [{"from": "a", "to": "b", "surface": "-", "tag": "-"}]}, "repeated state id 0"),
+            ({"states": [0, 1, 1]}, "repeated state id 1"),
+            # the message names the one bad id, not every id of the document
+            ({"states": list(range(2001)), "final": True,
+              "edges": [{"from": i, "to": i + 1, "surface": "-", "tag": "-"} for i in range(2000)]},
+             "^state ids must be integers or strings, not True$"),
+            ("{", "^invalid JSON: "),
+            ("[0, 1]", "^the document is not a JSON object$"),
+            ('{"states": [0, 1], "initial": 0, "edges": []}', "^missing field 'final'$"),
         ],
         ids=[
             "bool-final",
@@ -555,15 +558,20 @@ class TestJson:
             "endpoint-undeclared",
             "repeated-states-none-used",
             "repeated-state",
+            "bool-final-long-document",
+            "invalid-json",
+            "not-an-object",
+            "missing-field",
         ],
     )
-    def test_malformed_document_rejected(self, categories, change):
-        # ``True == 1``: a bool state id would pass for the state 1
+    def test_malformed_document_rejected(self, categories, change, match):
+        # ``True == 1``: a bool state id would pass for the state 1.  A
+        # string ``change`` is the whole document.
         edge = {"from": 0, "to": 1, "surface": "-", "tag": "-"}
         doc = {"states": [0, 1], "initial": 0, "final": 1, "edges": [edge]}
         from_json(json.dumps(doc), categories)
-        with pytest.raises(LatticeFormatError):
-            from_json(json.dumps({**doc, **change}), categories)
+        with pytest.raises(LatticeFormatError, match=match):
+            from_json(change if isinstance(change, str) else json.dumps({**doc, **change}), categories)
 
     def test_layout_matches_json_dumps(self, lattices):
         def reference(l):
