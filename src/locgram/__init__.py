@@ -37,7 +37,6 @@ from .grammar import (
     LocalGrammar,
     Transition,
     classify,
-    input_sequences,
     load_grammar,
     union,
 )

@@ -35,21 +35,13 @@ def _read(path: str) -> str:
         raise InputError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
 
 
-def _load_categories(args: argparse.Namespace) -> tuple[str, ...]:
-    if args.categories is None:
-        return fixtures.core_categories()
-    return load_categories(_read(args.categories).splitlines())
-
-
 def _load_lexicon(args: argparse.Namespace) -> Lexicon:
-    categories = _load_categories(args)
-    if args.lexicon is None:
-        if args.categories is None:
-            return fixtures.core_lexicon()
-        path = fixtures.lexicon_path()
-    else:
-        path = args.lexicon
-    return load_lexicon(_read(path).splitlines(), categories)
+    """The category inventory, then the lexicon, each from its flag's file
+    or, with no flag, the bundled one."""
+    inventory = fixtures.categories_path() if args.categories is None else args.categories
+    entries = fixtures.lexicon_path() if args.lexicon is None else args.lexicon
+    categories = load_categories(_read(inventory).splitlines())
+    return load_lexicon(_read(entries).splitlines(), categories)
 
 
 def _inputs(args: argparse.Namespace) -> tuple[Lexicon, list]:

@@ -1,9 +1,8 @@
-"""Loaders for the bundled demonstration lexicon and grammars."""
+"""Paths of the bundled demonstration lexicon and grammars, and loaders for them."""
 
 from __future__ import annotations
 
-from functools import lru_cache
-from importlib import resources
+from pathlib import Path
 
 from .grammar import LocalGrammar, load_grammar
 from .lexicon import Lexicon, load_categories, load_lexicon
@@ -19,13 +18,9 @@ GRAMMAR_FILES = {
 }
 
 
-def _data(name: str):
-    return resources.files("locgram").joinpath("data", name)
-
-
 def data_path(name: str) -> str:
     """Filesystem path of a bundled data file (for CLI invocations)."""
-    return str(_data(name))
+    return str(Path(__file__).parent / "data" / name)
 
 
 def categories_path() -> str:
@@ -44,18 +39,14 @@ def grammar_path(name: str) -> str:
     return data_path(GRAMMAR_FILES[name])
 
 
-@lru_cache(maxsize=None)
 def core_categories() -> tuple[str, ...]:
-    return load_categories(_data("categories.txt").read_text(encoding="utf-8").splitlines())
+    return load_categories(Path(categories_path()).read_text(encoding="utf-8").splitlines())
 
 
-@lru_cache(maxsize=None)
 def core_lexicon() -> Lexicon:
-    lines = _data("french_core.dic").read_text(encoding="utf-8").splitlines()
+    lines = Path(lexicon_path()).read_text(encoding="utf-8").splitlines()
     return load_lexicon(lines, core_categories())
 
 
-@lru_cache(maxsize=None)
 def grammar(name: str) -> LocalGrammar:
-    text = _data(GRAMMAR_FILES[name]).read_text(encoding="utf-8")
-    return load_grammar(text, core_categories())
+    return load_grammar(Path(grammar_path(name)).read_text(encoding="utf-8"), core_categories())

@@ -19,12 +19,11 @@ a sentence is bounded by the sentence length.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterable, Sequence
 
-from .errors import GrammarFormatError
+from .errors import GrammarFormatError, TagFormatError
 from .lattice import _check_id_types, _dot, _dot_quoted, _number_states, _reached_both_ways, _read_document
 from .tags import (
     AnyWord,
@@ -120,27 +119,15 @@ def load_grammar(text: str, categories: Iterable[str]) -> LocalGrammar:
     categories = tuple(categories)
     transitions = []
     for item in items:
+        if not (isinstance(item.get("in"), str) and isinstance(item.get("out"), str)):
+            raise GrammarFormatError(f"transition needs string in and out members: {item!r}")
         try:
             inp = parse_incomplete_tag(item["in"], categories)
             out = parse_incomplete_tag(item["out"], categories)
-        except Exception as exc:
+        except TagFormatError as exc:
             raise GrammarFormatError(f"bad transition label in {item!r}: {exc}") from exc
         transitions.append(Transition(item["from"], item["to"], inp, out))
     return _validate(LocalGrammar(name, tuple(states), initial, frozenset(finals), tuple(transitions)))
-
-
-def dumps_grammar(g: LocalGrammar) -> str:
-    doc = {
-        "name": g.name,
-        "states": list(g.states),
-        "initial": g.initial,
-        "finals": sorted(g.finals, key=str),
-        "transitions": [
-            {"from": t.src, "to": t.dst, "in": t.inp.notation(), "out": t.out.notation()}
-            for t in g.transitions
-        ],
-    }
-    return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
 
 
 def union(grammars: Sequence[LocalGrammar]) -> LocalGrammar:
@@ -204,29 +191,6 @@ def classify(g: LocalGrammar) -> GrammarClass:
     ):
         return GrammarClass.OUTPUT_IMPLIES_INPUT
     return GrammarClass.GENERAL
-
-
-def input_sequences(g: LocalGrammar, max_len: int) -> frozenset:
-    """All input label sequences along initial-to-final paths of length at
-    most ``max_len`` (cycles are unrolled up to the bound)."""
-    return frozenset(tuple(i for i, _ in s) for s in path_label_pairs(g, max_len))
-
-
-def path_label_pairs(g: LocalGrammar, max_len: int) -> frozenset:
-    """All (input, output) pair sequences along initial-to-final paths of
-    length at most ``max_len``; the language the union laws speak about.
-    Depth-first with an explicit stack, so ``max_len`` is not bounded by
-    the recursion limit."""
-    steps = g.compiled.steps
-    found: set[tuple] = set()
-    stack = [(g.initial, ())]
-    while stack:
-        state, acc = stack.pop()
-        if state in g.finals:
-            found.add(acc)
-        if len(acc) < max_len:
-            stack.extend((tr.dst, acc + ((tr.inp, tr.out),)) for _, tr in steps[state])
-    return frozenset(found)
 
 
 def to_dot(g: LocalGrammar) -> str:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
 
-from .errors import LexiconFormatError, UnknownWordError
+from .errors import LexiconFormatError, TagFormatError, UnknownWordError
 from .lattice import Lattice, _as_edge
 from .tags import (
     Category,
@@ -159,7 +159,7 @@ def _checked_parts(
         try:
             category = parse_category(groups[0], categories)
             alternatives = tuple(parse_features(g, validate=True) for g in groups[1:])
-        except Exception as exc:
+        except TagFormatError as exc:
             raise LexiconFormatError(f"line {line_no}: {exc}") from exc
         tail = parsed[codes] = (category, alternatives)
     return surface, lemma_part, tail
@@ -198,9 +198,11 @@ def load_lexicon(lines: Iterable[str], categories: tuple[str, ...]) -> Lexicon:
     line, or its features in another order) is dropped.
 
     The load checks every line: a malformed one raises ``LexiconFormatError``
-    with its number, whatever is looked up later.  Each distinct code tail
-    (the ``CAT;SUB[+T]:FEATS`` part after the last ``.``) is parsed once per
-    call, and lines with that tail share its immutable parse.  A tail that
+    with its number, whatever is looked up later.  So does a surface that
+    is one separator character, which ``tokenize`` makes a separator edge
+    and never looks up.  Each distinct code tail (the ``CAT;SUB[+T]:FEATS``
+    part after the last ``.``) is parsed once per call, and lines with that
+    tail share its immutable parse.  A tail that
     fails is not kept, so the first line that carries it is the one named.
     Compound entries are built here; a simple surface's entries when
     read, since a text meets few of a large lexicon's surfaces.
@@ -217,6 +219,8 @@ def load_lexicon(lines: Iterable[str], categories: tuple[str, ...]) -> Lexicon:
                 entry = LexiconEntry(surface, tokens, "/".join(part.split()), *tail)
                 compounds.setdefault(tokens[0], []).append(entry)
                 continue
+            if surface in _SEPARATORS:
+                raise LexiconFormatError(f"line {line_no}: surface {surface!r} is a separator, never looked up")
             pairs = simple[surface] = []
         pairs += part, tail
     return Lexicon(

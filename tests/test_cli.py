@@ -455,6 +455,31 @@ class TestExitCodes:
         assert err.startswith("error: line 2: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "module, name, argv",
+        [
+            ("grammar", "parse_incomplete_tag", ("apply", "--grammar", NE_VERB, "Ne lui dis pas")),
+            ("lexicon", "parse_category", ("tag", "Ne lui dis pas")),
+        ],
+        ids=["grammar-label", "lexicon-category"],
+    )
+    def test_fault_in_an_input_parser_exits_6(self, capsys, monkeypatch, module, name, argv):
+        # only malformed notation is malformed input; any other exception is a fault
+        def crash(*args):
+            raise KeyError("internal fault")
+
+        monkeypatch.setattr(importlib.import_module(f"locgram.{module}"), name, crash)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (6, "")
+        assert "internal error: KeyError('internal fault')" in err
+
+    def test_lone_separator_in_user_lexicon_exits_4(self, capsys, tmp_path):
+        path = tmp_path / "sep.dic"
+        path.write_text("a,a.N\nb,b.N\n-,moins.ADV\n", encoding="utf-8")
+        code, out, err = run(capsys, "tag", "--lexicon", str(path), "a - b")
+        assert (code, out) == (4, "")
+        assert err == "error: line 3: surface '-' is a separator, never looked up\n"
+
     def test_directory_as_corpus_exits_4(self, capsys, tmp_path):
         code, _, err = run(capsys, "check", "--grammar", NE_VERB, str(tmp_path))
         assert code == 4
@@ -578,8 +603,8 @@ class TestExitCodeFuzz:
 class TestUsage:
     @pytest.mark.parametrize(
         "argv",
-        [("bogus",), (), ("apply", "--limit", "abc", "x")],
-        ids=["unknown-command", "no-command", "non-integer-limit"],
+        [("bogus",), (), ("apply", "--limit", "abc", "x"), ("tag", "--lexicon", "", "Ne lui dis pas")],
+        ids=["unknown-command", "no-command", "non-integer-limit", "empty-lexicon-path"],
     )
     def test_usage_error_exits_4(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -716,6 +741,32 @@ class TestDeterminism:
         assert out1 == out2
 
 
+class TestBundledData:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--lexicon", fixtures.lexicon_path()),
+            ("--categories", fixtures.categories_path()),
+            ("--lexicon", fixtures.lexicon_path(), "--categories", fixtures.categories_path()),
+        ],
+        ids=["lexicon", "categories", "both"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("tag", "--format", "lattice", CONFIRM_CHAIN),
+            ("apply", "--grammar", CHAIN, "--format", "paths", CONFIRM_CHAIN),
+        ],
+        ids=["tag", "apply"],
+    )
+    def test_flags_naming_the_bundled_files_change_nothing(self, capsys, flags, argv):
+        # one loading path: a missing flag reads the bundled file like a given one
+        expected = run(capsys, *argv)
+        command, *rest = argv
+        assert run(capsys, command, *flags, *rest) == expected
+        assert expected[0] == 0 and expected[1]
+
+
 class TestBenchmarkCatalogue:
     def test_outputs_match_committed_digests(self, capsys, monkeypatch):
         """Every ``cli-edit-loop`` command keeps its exit code and stdout
@@ -738,13 +789,21 @@ class TestBenchmarkCatalogue:
 
 
 class TestCommittedScriptOutputs:
-    @pytest.mark.parametrize("script", ["output_digest", "show_worked_examples"])
-    def test_stdout_matches_expected_file(self, script):
+    @staticmethod
+    def check(script, **env):
         """Run with its default arguments, the script prints its committed
         ``scripts/<script>.expected`` byte for byte."""
-        env = {**os.environ, "PYTHONPATH": "src"}
+        env = {**os.environ, "PYTHONPATH": "src", **env}
         proc = subprocess.run(
             [sys.executable, f"scripts/{script}.py"], cwd=ROOT, env=env, capture_output=True, timeout=300
         )
         assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
         assert proc.stdout == (ROOT / "scripts" / f"{script}.expected").read_bytes()
+
+    @pytest.mark.parametrize("script", ["output_digest", "show_worked_examples"])
+    def test_stdout_matches_expected_file(self, script):
+        self.check(script)
+
+    def test_digests_under_another_hash_seed(self):
+        # no output may follow set or dict order of hashed strings
+        self.check("output_digest", PYTHONHASHSEED="7")

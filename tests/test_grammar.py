@@ -4,18 +4,9 @@ import json
 import pytest
 
 from locgram.errors import GrammarFormatError
-from locgram.grammar import (
-    GrammarClass,
-    classify,
-    dumps_grammar,
-    input_sequences,
-    load_grammar,
-    output_implies_input,
-    path_label_pairs,
-    to_dot,
-    union,
-)
+from locgram.grammar import GrammarClass, classify, load_grammar, output_implies_input, to_dot, union
 from locgram.tags import CategoryPattern, LemmaPattern, Separator, SurfaceForm
+from reference import dumps_grammar, input_sequences, path_label_pairs
 
 CATS = ("V", "N", "A", "ADV", "PRO", "DET", "PREP", "CNJS", "CNJC", "XI", "INT")
 
@@ -105,6 +96,12 @@ class TestLoadGrammar:
             ({"states": [0, 1, None], "transitions": [{"from": 0, "to": None, "in": "ne", "out": "<XI>"}]},
              "state ids must be integers or strings, not None"),
             ({"states": [0, 1, 1]}, "repeated state id 1"),
+            ({"transitions": [{"from": 0, "to": 1, "in": 5, "out": "<XI>"}]},
+             r"^transition needs string in and out members: \{'from': 0, 'to': 1, 'in': 5, "),
+            ({"transitions": [{"from": 0, "to": 1, "out": "<XI>"}]},
+             r"^transition needs string in and out members: \{'from': 0, 'to': 1, 'out'"),
+            ({"transitions": [{"from": 0, "to": 1, "in": "ne", "out": None}]},
+             r"^transition needs string in and out members: \{'from': 0, 'to': 1, 'in': 'ne', 'out': None\}"),
             ("{", "^invalid JSON: "),
             ("[0, 1]", "^the document is not a JSON object$"),
             ('{"name": "g", "states": [0], "initial": 0, "finals": [0]}', "^missing field 'transitions'$"),
@@ -125,6 +122,9 @@ class TestLoadGrammar:
             "bool-transition-endpoint",
             "null-state-id",
             "repeated-state",
+            "int-transition-input",
+            "transition-without-input",
+            "null-transition-output",
             "invalid-json",
             "not-an-object",
             "missing-field",

@@ -187,6 +187,15 @@ class TestLoadLexicon:
         with pytest.raises(LexiconFormatError, match=f"^line {len(lines)}: {message}"):
             load_lexicon(lines, categories)
 
+    @pytest.mark.parametrize("surface", ["-", " ’ ", "…"])
+    def test_lone_separator_surface_rejected(self, categories, surface):
+        # ``tokenize`` makes the character a separator edge, so the entry
+        # would never be read; a longer surface over separators is a compound
+        lines = ["le,le.DET:ms", f"{surface},moins.ADV", "-t-il,-t-il.PRO:3ms"]
+        with pytest.raises(LexiconFormatError, match=f"^line 2: surface '{surface.strip()}' is a separator"):
+            load_lexicon(lines, categories)
+        assert load_lexicon([lines[0], lines[2]], categories).compounds["-"]
+
     def test_blank_and_comment_lines_skipped(self, categories):
         lex = load_lexicon(["", "# entry", "le,le.DET:ms"], categories)
         assert len(lex.simple["le"]) == 1
