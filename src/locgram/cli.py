@@ -16,19 +16,20 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 from pathlib import Path
 
 from . import engine, fixtures, grammar as grammar_mod, lattice as lattice_mod
 from .errors import EnumerationOverflow, GrammarFormatError, InputError, UnknownWordError
 from .lexicon import Lexicon, build_initial_lattice, load_categories, load_lexicon, tokenize
-from .randgen import random_instance
 from .tags import Separator, collation_key
 
 
-def _read(path: str) -> str:
-    """An input file's text; a file that is not UTF-8 is malformed input."""
+def _read(path: str, what: str) -> str:
+    """The text of the file that ``what``, a flag or argument, names.  An empty
+    name (``Path`` reads it as ``.``) and a file not in UTF-8 are malformed input."""
+    if not path:
+        raise InputError(f"{what} is empty; it must name a file")
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -40,8 +41,8 @@ def _load_lexicon(args: argparse.Namespace) -> Lexicon:
     or, with no flag, the bundled one."""
     inventory = fixtures.categories_path() if args.categories is None else args.categories
     entries = fixtures.lexicon_path() if args.lexicon is None else args.lexicon
-    categories = load_categories(_read(inventory).splitlines())
-    return load_lexicon(_read(entries).splitlines(), categories)
+    categories = load_categories(_read(inventory, "--categories").splitlines())
+    return load_lexicon(_read(entries, "--lexicon").splitlines(), categories)
 
 
 def _inputs(args: argparse.Namespace) -> tuple[Lexicon, list]:
@@ -49,7 +50,7 @@ def _inputs(args: argparse.Namespace) -> tuple[Lexicon, list]:
     lexicon = _load_lexicon(args)
     if not args.grammars:
         raise GrammarFormatError("at least one --grammar file is required")
-    grammars = [grammar_mod.load_grammar(_read(p), lexicon.categories) for p in args.grammars]
+    grammars = [grammar_mod.load_grammar(_read(p, "--grammar"), lexicon.categories) for p in args.grammars]
     return lexicon, grammars
 
 
@@ -137,7 +138,7 @@ def cmd_check(args: argparse.Namespace) -> tuple[str, int]:
     """Zero-silence check of the combined grammars against gold taggings."""
     lexicon, grammars = _inputs(args)
     combined = _combined(grammars)
-    corpus = engine.load_corpus(_read(args.corpus).splitlines())
+    corpus = engine.load_corpus(_read(args.corpus, "the corpus argument").splitlines())
     report = engine.silence_check(combined, corpus, lexicon)
     if args.format == "report":
         doc = {
@@ -168,6 +169,8 @@ def cmd_diff_oracle(args: argparse.Namespace) -> tuple[str, int]:
     if args.seed is not None:
         if args.grammars or (args.lexicon, args.categories, args.text) != (None, None, None):
             raise InputError("--seed takes no --grammar, --lexicon, --categories or text")
+        import random  # only --seed needs them; every CLI start would pay for them
+        from .randgen import random_instance
         rng = random.Random(args.seed)
         trials = 50
         for trial in range(trials):

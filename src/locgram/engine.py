@@ -23,20 +23,20 @@ under a stricter precondition: every such grammar passes rule B's, and
 its input masks are the literal lookup of each edge's written form.
 
 Conformity is decided on integers.  Each grammar is compiled once into
-conformity tables (``LocalGrammar.compiled``) that map a label to the
-bitmask of the transitions it can satisfy, bit ``i`` for
-``transitions[i]``; ``tags.conforms`` stays the reference predicate they
-must agree with.  Each step of a matched portion is then one ``&`` of
-the edge's output mask, its span's input mask and the transition's bit.
+one conformity table (``LocalGrammar.compiled``) that maps a label, in
+one call, to the bits of the transition inputs and then outputs it can
+satisfy; ``tags.conforms`` stays the reference predicate it must agree
+with.  Each step of a matched portion is then one ``&`` of the edge's
+output mask, its span's input mask and the transition's bit.
 
 One holder, ``_Tables``, keeps the tables of a lattice and grammar,
 each built on first use: the per-edge input and output masks, witness
 masks (general rule) and own-tag masks (rules A and B), each a flat int
-list aligned with the edge indices of ``Lattice.edges``, and the one
-matchable index, per state, that every rule reads.  A state's edges
-are one run of ``edges`` (``Lattice._starts``), so a walk over a
-state's edges reads a range of indices, and a path's edge is found in
-its source's run.  Every verdict reads the holder.  The engine keeps
+list aligned with the lattice's edge arrays, and the one matchable index,
+per state, that every rule reads.  The tables and ``filter`` read only the
+arrays and make no ``Edge``.  A state's edges are one run of indices
+(``Lattice._starts``), so a walk over them reads a range, and a path's
+``Edge`` is found in its source's run.  Every verdict reads the holder.  The engine keeps
 one slot, the holder of the last pair, matched by identity, never by
 hash, which would hash every label: checking many paths of one lattice
 builds its tables once, and at most one lattice's tables outlive a
@@ -54,7 +54,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import and_, itemgetter, or_
+from itertools import compress, repeat
+from operator import and_, itemgetter, or_, rshift
 from typing import Iterable, Sequence
 
 from .errors import CorpusFormatError, TagFormatError, UnknownWordError
@@ -64,7 +65,6 @@ from .lexicon import Lexicon, _content_lines, build_initial_lattice, tokenize
 from .tags import SEPARATOR_CHARS, EdgeLabel, Separator, parse_label
 
 MatchableIndex = dict  # lattice state -> bool
-_label = itemgetter(2)  # an edge's label
 
 
 @dataclass(frozen=True)
@@ -93,10 +93,10 @@ class Decomposition:
 
 class _Tables:
     """The per-edge tables of one (lattice, grammar) pair, each one int per
-    edge, aligned with ``l.edges``.  A matched portion's step over an edge
-    needs its output to conform to the edge's label, and its input to some
-    label on the same span (``witness``, the general rule) or to the edge's
-    own label (``own``, rules A and B)."""
+    edge, aligned with ``l``'s edge arrays.  A matched portion's step over
+    an edge needs its output to conform to the edge's label, and its input
+    to some label on the same span (``witness``, the general rule) or to
+    the edge's own label (``own``, rules A and B)."""
 
     last: _Tables | None = None  # the engine's one slot
 
@@ -104,12 +104,17 @@ class _Tables:
         self.l, self.g = l, g
 
     @cached_property
+    def masks(self) -> list[int]:
+        """Input bits, then output bits (see ``CompiledGrammar``): one mask per edge."""
+        return list(map(self.g.compiled.masks.mask, self.l.labels))
+
+    @cached_property
     def inputs(self) -> list[int]:
-        return list(map(self.g.compiled.inputs.mask, map(_label, self.l.edges)))
+        return list(map(and_, self.masks, repeat((1 << len(self.g.transitions)) - 1)))
 
     @cached_property
     def outputs(self) -> list[int]:
-        return list(map(self.g.compiled.outputs.mask, map(_label, self.l.edges)))
+        return list(map(rshift, self.masks, repeat(len(self.g.transitions))))
 
     @cached_property
     def index(self) -> MatchableIndex:
@@ -120,7 +125,7 @@ class _Tables:
         """Each edge's output mask, and-ed with the union of its span's
         input masks (a span: every edge from its source to its target)."""
         n = self.l.n_states
-        spans = [src * n + dst for src, dst, _ in self.l.edges]
+        spans = [src * n + dst for src, dst in zip(self.l.srcs, self.l.dsts)]
         inputs: dict[int, int] = {}
         for span, m in zip(spans, self.inputs):
             inputs[span] = inputs.get(span, 0) | m
@@ -142,7 +147,7 @@ def _tables(l: Lattice, g: LocalGrammar) -> _Tables:
 def _match_index(l: Lattice, g: LocalGrammar, masks: list[int]) -> MatchableIndex:
     """For each lattice state: does some path from it match a complete
     input sequence of the grammar, edge by edge, where an edge may take
-    the transitions set in its mask (``masks``, aligned with ``l.edges``)?
+    the transitions set in its mask (``masks``, aligned with ``l``'s edges)?
 
     A backward pass over the lattice states.  Every step consumes an edge
     and states are numbered in topological order, so a state's successors
@@ -157,14 +162,14 @@ def _match_index(l: Lattice, g: LocalGrammar, masks: list[int]) -> MatchableInde
         leaving[t.src] |= 1 << i
     lands_final = reduce(or_, (into[s] for s in g.finals), 0)
     non_final = [(leaving[s], into[s]) for s in g.states if s not in g.finals]
-    edges, starts = l.edges, l._starts
+    dsts, starts = l.dsts, l._starts
     lands = [0] * l.n_states
     live = [0] * l.n_states  # per state: the transitions some path out of it can take
     lands_of: dict[int, int] = {}  # ``lands`` as a function of ``live``, per value met
     for q in range(l.n_states - 1, -1, -1):
         bits = 0
         for i in range(starts[q], starts[q + 1]):
-            bits |= masks[i] & lands[edges[i].dst]
+            bits |= masks[i] & lands[dsts[i]]
         live[q] = bits
         lands[q] = lands_of.get(bits)
         if lands[q] is None:
@@ -284,45 +289,41 @@ def filter(g: LocalGrammar, l: Lattice) -> Lattice:
     index, portion = t.index, t.witness
     steps = g.compiled.steps
     finals = g.finals
-    edges, starts = l.edges, l._starts
+    lattice_dsts, lattice_labels, starts = l.dsts, l.labels, l._starts
 
     # Product states are numbered in discovery order; ``states`` is also
     # the breadth-first worklist, which the loop extends as it walks it.
     states = [(l.initial, _FREE)]
     number = {states[0]: 0}
-    product_edges = []
+    srcs, dsts, labels = [], [], []  # product edge k: (srcs[k], dsts[k], labels[k])
     for src, (q, mode) in enumerate(states):
+        free = mode is _FREE and not index[q]  # between portions, at an unmatchable state
+        moves = steps[g.initial if mode is _FREE else mode]
         for i in range(starts[q], starts[q + 1]):
-            e, ok = edges[i], portion[i]
-            targets = []
-            if mode is _FREE:
-                if not index[q]:
-                    targets.append((e.dst, _FREE))
-                source_state = g.initial
-            else:
-                source_state = mode
+            q_dst, ok = lattice_dsts[i], portion[i]
+            targets = [(q_dst, _FREE)] if free else []
             if ok:
-                for bit, tr in steps[source_state]:
+                for bit, tr in moves:
                     if ok & bit:
-                        targets.append((e.dst, tr.dst))
+                        targets.append((q_dst, tr.dst))
                         if tr.dst in finals:
-                            targets.append((e.dst, _FREE))
+                            targets.append((q_dst, _FREE))
             for target in targets:
                 dst = number.get(target)
                 if dst is None:
                     dst = number[target] = len(states)
                     states.append(target)
-                product_edges.append((src, dst, e.label))
+                srcs.append(src)
+                dsts.append(dst)
+            labels += [lattice_labels[i]] * len(targets)
     # Every product state was reached from the start; keeping only the
     # edges into states that reach the goal leaves no dead edge.  Product
     # edges that share ``(src, dst)`` come from one lattice span, in its
     # edges' order, which is ``sort_key`` order.
     goal = number.get((l.final, _FREE), len(states))
-    sources: list[list[int]] = [[] for _ in range(len(states) + 1)]
-    for src, dst, _ in product_edges:
-        sources[dst].append(src)
-    live = _reached([goal], sources)
-    return Lattice._from_live(0, goal, [e for e in product_edges if live[e[1]]])
+    live = _reached([goal], len(states) + 1, dsts, srcs)
+    kept = list(map(live.__getitem__, dsts))
+    return Lattice._from_live(0, goal, *(list(compress(column, kept)) for column in (srcs, dsts, labels)))
 
 
 def filter_oracle(g: LocalGrammar, l: Lattice, limit: int = DEFAULT_PATH_LIMIT) -> Lattice:

@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import Hashable, Iterable, Sequence
 
 from .errors import GrammarFormatError, TagFormatError
-from .lattice import _check_id_types, _dot, _dot_quoted, _number_states, _reached_both_ways, _read_document
+from .lattice import _check_id_types, _dot, _dot_quoted, _number_states, _reached, _read_document
 from .tags import (
     AnyWord,
     CategoryPattern,
@@ -47,11 +47,10 @@ class Transition:
 
 @dataclass(frozen=True)
 class CompiledGrammar:
-    """A grammar's conformity table: bit ``i`` of every mask stands for
-    ``transitions[i]``."""
+    """A grammar's conformity table: bit ``i`` of a mask stands for the
+    input of ``transitions[i]``, bit ``len(transitions) + i`` for its output."""
 
-    inputs: ConformityTable
-    outputs: ConformityTable
+    masks: ConformityTable
     # state -> ((bit, transition), ...), in transition order
     steps: dict[Hashable, tuple[tuple[int, Transition], ...]]
 
@@ -71,8 +70,7 @@ class LocalGrammar:
         for i, t in enumerate(self.transitions):
             steps[t.src].append((1 << i, t))
         return CompiledGrammar(
-            ConformityTable(t.inp for t in self.transitions),
-            ConformityTable(t.out for t in self.transitions),
+            ConformityTable([t.inp for t in self.transitions] + [t.out for t in self.transitions]),
             {s: tuple(ts) for s, ts in steps.items()},
         )
 
@@ -95,8 +93,9 @@ def _validate(g: LocalGrammar) -> LocalGrammar:
             raise GrammarFormatError(f"state ids {other!r} and {s!r} print alike")
     if not g.finals:
         raise GrammarFormatError("grammar has no final state")
-    arcs = [(number[t.src], number[t.dst]) for t in g.transitions]
-    reached = _reached_both_ways(len(number), arcs, [number[g.initial]], map(number.__getitem__, g.finals))
+    tails, heads = [number[t.src] for t in g.transitions], [number[t.dst] for t in g.transitions]
+    forward = _reached([number[g.initial]], len(number), tails, heads)
+    reached = forward, _reached(map(number.__getitem__, g.finals), len(number), heads, tails)
     for problem, marks in zip(("unreachable states", "states reaching no final state"), reached):
         missing = sorted(str(s) for s, r in zip(number, marks) if not r)
         if missing:

@@ -12,13 +12,17 @@ some initial-to-final path, its states are numbered in a deterministic
 topological order, and its edges are sorted by ``(src, dst,
 label.sort_key)``.  So every state but the initial and final ones lies
 on a path, the engine's matchable index and ``minimize`` see only
-admitted taggings, state ``q``'s edges are one contiguous run of
-``edges``, and one pass over them counts the paths (``count_paths``).
-``Lattice._from_live`` makes it from int states of a small range and no
-dead edge, whose edges that share ``(src, dst)`` arrive in ``sort_key``
-order: the initial state is then the one source, Kahn's order from it
-(Kahn 1962) numbers the states whatever the ids are, and a stable sort
-on ``(src, dst)`` orders the edges.  Its callers:
+admitted taggings, state ``q``'s edges are one contiguous run of edge
+indices, and one pass over them counts the paths (``count_paths``).
+Edge ``i`` is held in three parallel arrays, ``srcs[i]``, ``dsts[i]``
+and ``labels[i]``, not as an object: ``edges``, the ``Edge`` tuples that
+paths are made of, is made from them when first read, and the apply
+pipeline reads and writes only the arrays.
+``Lattice._from_live`` makes the canonical form from int states of a
+small range and no dead edge, whose edges that share ``(src, dst)``
+arrive in ``sort_key`` order: the initial state is then the one source,
+Kahn's order from it (Kahn 1962) numbers the states whatever the ids
+are, and a stable sort on ``(src, dst)`` orders the edges.  Its callers:
 
 * ``Lattice.build`` takes any hashable states and any edges.  It interns
   the states as ints, keeps the live edges by two ``_reached`` walks and
@@ -39,7 +43,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import accumulate, pairwise
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import EnumerationOverflow, InputError, LatticeFormatError
@@ -54,9 +58,7 @@ class Edge(NamedTuple):
     label: EdgeLabel
 
 
-# ``Edge(*triple)`` without the Python-level ``Edge.__new__``, for the
-# thousands of edges a lattice is made of
-_as_edge = partial(tuple.__new__, Edge)
+_as_edge = partial(tuple.__new__, Edge)  # ``Edge(*triple)`` without the Python-level ``Edge.__new__``
 _sort_key = attrgetter("sort_key")
 
 Path = tuple  # consecutive edges from the initial to the final state
@@ -67,7 +69,9 @@ class Lattice:
     n_states: int
     initial: int
     final: int
-    edges: tuple[Edge, ...]
+    srcs: tuple[int, ...]  # edge i goes from srcs[i] to dsts[i] with label labels[i]
+    dsts: tuple[int, ...]
+    labels: tuple[EdgeLabel, ...]
 
     @classmethod
     def build(
@@ -91,7 +95,8 @@ class Lattice:
             (number.setdefault(a, len(number)), number.setdefault(b, len(number)), label) for a, b, label in edges
         ]
         end = number.setdefault(final, len(number))
-        forward, backward = _reached_both_ways(len(number), ints, [0], [end])
+        srcs, dsts = [e[0] for e in ints], [e[1] for e in ints]
+        forward, backward = _reached([0], len(number), srcs, dsts), _reached([end], len(number), dsts, srcs)
         live = [e for e in ints if forward[e[0]] and backward[e[1]]]
         # Kahn's pass frees a state at its last in-edge from its last
         # predecessor, so moving each ``(src, dst)`` run to where it last
@@ -99,25 +104,25 @@ class Lattice:
         # then be in ``sort_key`` order, as ``_from_live`` requires.
         last = {e[:2]: i for i, e in enumerate(live)}
         live.sort(key=lambda e: (last[e[:2]], e[2].sort_key))
-        return cls._from_live(0, end, live)
+        return cls._from_live(0, end, *(list(zip(*live)) or [(), (), ()]))
 
     @classmethod
-    def _from_live(cls, initial: int, final: int, edges: list[tuple]) -> "Lattice":
-        """The canonical lattice of ``edges`` (see the module docstring):
-        Kahn's order, first in first out from ``initial`` over successor
-        lists in edge order, numbers the states, and a stable sort on
+    def _from_live(cls, initial: int, final: int, srcs: Sequence, dsts: Sequence, labels: Sequence) -> Lattice:
+        """The canonical lattice of the edges in ``srcs``, ``dsts`` and
+        ``labels`` (see the module docstring): Kahn's order, first in first
+        out from ``initial`` over each state's successors in edge order,
+        numbers the states, and a stable sort of the edge indices on
         ``(src, dst)`` orders the edges without comparing labels."""
-        if not edges:
-            return cls(1 if initial == final else 2, 0, int(initial != final), ())
-        size = max(initial, *map(itemgetter(1), edges)) + 1
-        successors: list[list[int]] = [[] for _ in range(size)]
+        if not srcs:
+            return cls(1 if initial == final else 2, 0, int(initial != final), (), (), ())
+        size = max(initial, max(dsts)) + 1
+        successors, starts = _grouped(size, srcs, dsts)
         indegree = [0] * size
-        for src, dst, _ in edges:
-            successors[src].append(dst)
-            indegree[dst] += 1
+        for t in dsts:
+            indegree[t] += 1
         order = [] if indegree[initial] else [initial]  # an edge into it closes a cycle
         for s in order:  # extended as it is walked
-            for t in successors[s]:
+            for t in successors[starts[s] : starts[s + 1]]:
                 indegree[t] -= 1
                 if indegree[t] == 0:
                     order.append(t)
@@ -126,17 +131,20 @@ class Lattice:
         rank, n = [0] * size, len(order)
         for r, q in enumerate(order):
             rank[q] = r
-        renumbered = [(rank[src], rank[dst], label) for src, dst, label in edges]
-        renumbered.sort(key=lambda e: e[0] * n + e[1])
-        return cls(n, 0, rank[final], tuple(map(_as_edge, renumbered)))
+        srcs, dsts = list(map(rank.__getitem__, srcs)), list(map(rank.__getitem__, dsts))
+        spans = [src * n + dst for src, dst in zip(srcs, dsts)]
+        by_span = sorted(range(len(spans)), key=spans.__getitem__)
+        return cls(n, 0, rank[final], *(tuple(map(c.__getitem__, by_span)) for c in (srcs, dsts, labels)))
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """The ``Edge`` tuples, in edge order, made when first read."""
+        return tuple(map(_as_edge, zip(self.srcs, self.dsts, self.labels)))
 
     @cached_property
     def _starts(self) -> list[int]:
-        """State ``q``'s edges are ``edges[_starts[q]:_starts[q + 1]]``."""
-        counts = [0] * (self.n_states + 1)
-        for e in self.edges:
-            counts[e.src + 1] += 1
-        return list(accumulate(counts))
+        """State ``q``'s edges are the indices ``_starts[q]`` up to ``_starts[q + 1]``."""
+        return _offsets(self.n_states, self.srcs)
 
     @cached_property
     def edges_by_source(self) -> tuple[tuple[Edge, ...], ...]:
@@ -147,33 +155,33 @@ class Lattice:
     def is_empty_language(self) -> bool:
         """True when no path joins the initial to the final state: every
         edge lies on such a path, so exactly when there are none."""
-        return self.initial != self.final and not self.edges
+        return self.initial != self.final and not self.srcs
 
 
-def _reached(starts: Iterable[int], adjacent: Sequence[Sequence[int]]) -> list[bool]:
-    """Per node ``0..len(adjacent)-1``: whether it is reachable from one
-    of ``starts`` along the per-node ``adjacent`` lists."""
-    reached = [False] * len(adjacent)
+def _offsets(n: int, keys: Iterable[int]) -> list[int]:
+    """Entry ``q``: how many of ``keys``, each in ``0..n-1``, are below ``q``."""
+    counts = [0] * (n + 1)
+    for k in keys:
+        counts[k + 1] += 1
+    return list(accumulate(counts))
+
+
+def _grouped(n: int, keys: Sequence[int], values: Sequence) -> tuple[list, list[int]]:
+    """``values`` stably sorted by their ``keys``, and ``_offsets(n, keys)``, which bound each key's run."""
+    return list(map(values.__getitem__, sorted(range(len(keys)), key=keys.__getitem__))), _offsets(n, keys)
+
+
+def _reached(starts: Iterable[int], n: int, tails: Sequence[int], heads: Sequence[int]) -> list[bool]:
+    """Per node ``0..n-1``: whether one of ``starts`` reaches it along the arcs ``tails[i] -> heads[i]``."""
+    adjacent, offsets = _grouped(n, tails, heads)
+    reached = [False] * n
     stack = list(starts)
     while stack:
         q = stack.pop()
         if not reached[q]:
             reached[q] = True
-            stack += adjacent[q]
+            stack += adjacent[offsets[q] : offsets[q + 1]]
     return reached
-
-
-def _reached_both_ways(
-    n: int, arcs: Iterable[Sequence], starts: Iterable[int], ends: Iterable[int]
-) -> tuple[list[bool], list[bool]]:
-    """Per node ``0..n-1`` of the graph of ``(src, dst, ...)`` arcs: whether
-    one of ``starts`` reaches it, and whether it reaches one of ``ends``."""
-    successors: list[list[int]] = [[] for _ in range(n)]
-    predecessors: list[list[int]] = [[] for _ in range(n)]
-    for arc in arcs:
-        successors[arc[0]].append(arc[1])
-        predecessors[arc[1]].append(arc[0])
-    return _reached(starts, successors), _reached(ends, predecessors)
 
 
 def path_labels(path: Sequence[Edge]) -> tuple[EdgeLabel, ...]:
@@ -187,7 +195,7 @@ def count_paths(l: Lattice) -> int:
     topological order and its edges sorted by source."""
     ways = [0] * l.n_states
     ways[l.initial] = 1
-    for src, dst, _ in l.edges:
+    for src, dst in zip(l.srcs, l.dsts):
         ways[dst] += ways[src]
     return ways[l.final]
 
@@ -262,16 +270,16 @@ def minimize(l: Lattice) -> Lattice:
     smallest member.  ``l``'s states are numbered in topological order, so
     every successor of a subset has a larger smallest member: this order
     is reverse topological, and a subset's targets have their classes
-    before its signature, its ``(label, class)`` moves, is read.  The one
+    before its signature, its moves' labels and classes, is read.  The one
     empty signature is the final class's.
     """
     if l.is_empty_language():
         return l
-    n, edges, starts = l.n_states, l.edges, l._starts
-    keys = list(map(_sort_key, map(itemgetter(2), edges)))
+    n, dsts, labels, starts = l.n_states, l.dsts, l.labels, l._starts
+    keys = list(map(_sort_key, labels))
     members: list[tuple[int, ...]] = []  # per subset id from n up: its sorted states
     subset_id: dict[tuple[int, ...], int] = {}
-    outgoing: list[list | None] = [None] * n  # per subset reached: (edge, subset), by label
+    outgoing: list[tuple | None] = [None] * n  # per subset reached: its moves' edges and subsets, by label
     queue = [l.initial]
     for s in queue:  # extended as it is walked
         out = None
@@ -280,15 +288,15 @@ def minimize(l: Lattice) -> Lattice:
             if len(run) > 1:
                 run = sorted(run, key=keys.__getitem__)
             if len(set(map(keys.__getitem__, run))) == len(run):
-                out = [(i, edges[i][1]) for i in run]
+                out = run, list(map(dsts.__getitem__, run))
         if out is None:
             grouped: dict[tuple, tuple[int, set[int]]] = {}
             for q in members[s - n] if s >= n else (s,):
                 for i in range(starts[q], starts[q + 1]):
-                    grouped.setdefault(keys[i], (i, set()))[1].add(edges[i][1])
+                    grouped.setdefault(keys[i], (i, set()))[1].add(dsts[i])
             if s >= n and l.final in members[s - n]:
                 raise LatticeFormatError("path label set is not prefix-free; cannot keep a single final state")
-            out = []
+            out = [], []
             for key in sorted(grouped):
                 i, targets = grouped[key]
                 if len(targets) > 1:
@@ -297,32 +305,35 @@ def minimize(l: Lattice) -> Lattice:
                         subset_id[target] = n + len(members)
                         members.append(target)
                         outgoing.append(None)
-                    out.append((i, subset_id[target]))
-                else:
-                    out.append((i, *targets))  # a singleton: its state's id
+                    targets = [subset_id[target]]
+                out[0].append(i)
+                out[1].extend(targets)  # a singleton: its state's id
         outgoing[s] = out
-        for _, t in out:
+        for t in out[1]:
             if outgoing[t] is None:
-                outgoing[t] = []  # queued
+                outgoing[t] = ()  # queued
                 queue.append(t)
 
     smallest = [*range(n), *(m[0] for m in members)]
     state_class = [0] * len(outgoing)
-    classes: dict[tuple, int] = {}
-    merged: list[tuple] = []  # each class's edges once, by label
+    classes: dict[tuple, int] = {}  # by signature: the moves' label keys, then their classes
+    class_srcs, class_dsts, class_labels = [], [], []  # each class's edges once, by label
     for s in sorted(queue, key=smallest.__getitem__, reverse=True):
-        out = outgoing[s]
+        run, targets = outgoing[s]
+        targets = list(map(state_class.__getitem__, targets))
         size = len(classes)
-        c = state_class[s] = classes.setdefault(tuple([(keys[i], state_class[t]) for i, t in out]), size)
+        c = state_class[s] = classes.setdefault((*map(keys.__getitem__, run), *targets), size)
         if c == size:  # a new class
-            merged += [(c, state_class[t], edges[i][2]) for i, t in out]
-    return Lattice._from_live(state_class[l.initial], classes[()], merged)
+            class_srcs += [c] * len(targets)
+            class_dsts += targets
+            class_labels += map(labels.__getitem__, run)
+    return Lattice._from_live(state_class[l.initial], classes[()], class_srcs, class_dsts, class_labels)
 
 
 def to_dot(l: Lattice) -> str:
     """Render in DOT, one edge per transition.  Output is deterministic:
     byte-identical across runs for equal lattices."""
-    return _dot("lattice", str, l.initial, [l.final], [(e.src, e.dst, e.label.notation()) for e in l.edges])
+    return _dot("lattice", str, l.initial, [l.final], zip(l.srcs, l.dsts, [x.notation() for x in l.labels]))
 
 
 def _dot(name: str, node: Callable, initial, finals: Iterable, edges: Iterable[tuple]) -> str:
@@ -357,10 +368,10 @@ def to_json(l: Lattice) -> str:
     plus a newline.  Only the strings go through the encoder, which stays
     on its C path without ``indent``."""
     edges = [
-        f'{{\n      "from": {e.src},\n      "to": {e.dst},\n'
-        f'      "surface": {_encode_string(e.label.surface)},\n'
-        f'      "tag": {_encode_string(e.label.notation())}\n    }}'
-        for e in l.edges
+        f'{{\n      "from": {src},\n      "to": {dst},\n'
+        f'      "surface": {_encode_string(label.surface)},\n'
+        f'      "tag": {_encode_string(label.notation())}\n    }}'
+        for src, dst, label in zip(l.srcs, l.dsts, l.labels)
     ]
     return (
         f'{{\n  "states": {_json_list([str(q) for q in range(l.n_states)])},\n'

@@ -24,7 +24,7 @@ from enum import Enum
 from operator import attrgetter
 
 from .errors import LexiconFormatError, TagFormatError, UnknownWordError
-from .lattice import Lattice, _as_edge
+from .lattice import Lattice
 from .tags import (
     Category,
     CompleteTag,
@@ -289,22 +289,26 @@ def build_initial_lattice(tokens: list[Token], lexicon: Lexicon) -> Lattice:
     out sorted, its one-token edges (in ``lookup`` order) before its
     compounds, which are sorted by end and then by ``sort_key``.
     """
-    edges = []
+    srcs, dsts, labels = [], [], []  # edge k: (srcs[k], dsts[k], labels[k])
     for token in tokens:
         i = token.position
         if token.kind is TokenKind.SEPARATOR:
-            edges.append((i, i + 1, _SEPARATORS[token.text]))
+            tags = (_SEPARATORS[token.text],)
         else:
             tags = lexicon.lookup(token.lookup)
             if not tags:
                 raise UnknownWordError(token)
-            edges += [(i, i + 1, tag) for tag in tags]
-        compounds = [
-            (i, i + len(entry.surface_tokens), tag)
-            for entry in compound_matches(tokens, i, lexicon)
-            for tag in lexicon.analyses(entry)
-        ]
-        compounds.sort(key=lambda e: (e[1], e[2].sort_key))
-        edges += compounds
-    n = len(tokens)
-    return Lattice(n + 1, 0, n, tuple(map(_as_edge, edges)))
+        ends = [i + 1] * len(tags)
+        if token.lookup in lexicon.compounds:
+            compounds = [
+                (i + len(entry.surface_tokens), tag)
+                for entry in compound_matches(tokens, i, lexicon)
+                for tag in lexicon.analyses(entry)
+            ]
+            compounds.sort(key=lambda e: (e[0], e[1].sort_key))
+            ends += [end for end, _ in compounds]
+            tags += tuple(tag for _, tag in compounds)
+        srcs += [i] * len(ends)
+        dsts += ends
+        labels += tags
+    return Lattice(len(tokens) + 1, 0, len(tokens), tuple(srcs), tuple(dsts), tuple(labels))

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .grammar import GrammarClass, LocalGrammar, classify, load_grammar
-from .lattice import Lattice, _reached_both_ways, count_paths
+from .lattice import Lattice, _reached, count_paths
 from .lexicon import Lexicon, build_initial_lattice, load_lexicon, tokenize
 
 _SURFACES = ["ga", "bo", "ti", "ra", "mu", "ze", "ko", "da", "fe", "lu"]
@@ -150,8 +150,9 @@ def _prune_document(doc: dict) -> dict | None:
     """Drop unreachable and dead states so the document validates; its
     states are ``0..n-1``."""
     finals = set(doc["finals"])
-    arcs = [(t["from"], t["to"]) for t in doc["transitions"]]
-    forward, backward = _reached_both_ways(len(doc["states"]), arcs, [doc["initial"]], finals)
+    tails, heads = [t["from"] for t in doc["transitions"]], [t["to"] for t in doc["transitions"]]
+    n = len(doc["states"])
+    forward, backward = _reached([doc["initial"]], n, tails, heads), _reached(finals, n, heads, tails)
     keep = {q for q in doc["states"] if forward[q] and backward[q]}
     if doc["initial"] not in keep or not (finals & keep):
         return None

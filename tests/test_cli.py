@@ -612,6 +612,24 @@ class TestUsage:
         assert out == ""
         assert "error: " in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (("tag", "--lexicon", "", "Ne lui dis pas"), "--lexicon"),
+            (("tag", "--categories", "", "Ne lui dis pas"), "--categories"),
+            (("apply", "--grammar", "", "Ne lui dis pas"), "--grammar"),
+            (("check", "--grammar", NE_VERB, ""), "the corpus argument"),
+        ],
+        ids=["lexicon", "categories", "grammar", "corpus"],
+    )
+    def test_empty_file_name_is_named(self, capsys, argv, named):
+        # Path('') is the current directory: the error used to be
+        # "[Errno 21] Is a directory: '.'", naming no flag
+        code, out, err = run(capsys, *argv)
+        assert code == 4
+        assert out == ""
+        assert err == f"error: {named} is empty; it must name a file\n"
+
     def test_help_exits_0(self, capsys):
         code, out, _ = run(capsys, "--help")
         assert code == 0
@@ -722,6 +740,13 @@ class TestDiffOracle:
         code, out, err = run(capsys, "diff-oracle", *argv)
         assert code == 1
         assert out.startswith("MISMATCH") and err == ""
+
+    def test_randgen_is_imported_only_for_seed(self):
+        # the random instances are all that needs it; no other command pays for its import
+        probe = "import sys, locgram.cli; print('locgram.randgen' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": "src"}
+        proc = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, env=env, capture_output=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, b"False\n"), proc.stderr
 
 
 class TestDeterminism:

@@ -26,6 +26,7 @@ from locgram.errors import CorpusFormatError, TagFormatError
 from locgram.grammar import load_grammar
 from locgram.lexicon import TokenKind, compound_matches, expand_entry, load_lexicon
 from locgram.lattice import (
+    Edge,
     Lattice,
     all_paths,
     count_paths,
@@ -831,3 +832,39 @@ class TestCanonicalForm:
         a, b = (load_lexicon([*shared, *lines], categories) for lines in (a, b))
         for lexicon in (a, b, a, b):
             self.assert_pipeline("fait le moment", lexicon, [])
+
+
+class TestFlatEdges:
+    """A lattice holds its edges as three arrays, ``srcs``, ``dsts`` and
+    ``labels``.  ``edges`` is made from them when first read, and the
+    apply pipeline never reads it."""
+
+    def test_apply_pipeline_makes_no_edge_tuples(self, lexicon, grammars):
+        l = build_initial_lattice(tokenize(SCALE_TEXT), lexicon)
+        f = filter_lattice(union(list(grammars.values())), l)
+        to_json(f)
+        m = minimize(f)
+        to_json(m)
+        for made in (l, f, m):
+            assert "edges" not in vars(made)
+
+    @staticmethod
+    def assert_edges_are_the_arrays(l, grammars):
+        made = [l]
+        for g in grammars:
+            f = filter_lattice(g, l)
+            made += [f, minimize(f)]
+        for m in made:
+            assert m.edges == tuple(map(Edge._make, zip(m.srcs, m.dsts, m.labels)))
+
+    def test_fixtures(self, lattices, grammars):
+        named = [*grammars.values(), union(list(grammars.values()))]
+        for l in lattices.values():
+            self.assert_edges_are_the_arrays(l, named)
+
+    @pytest.mark.parametrize("mode", ["general", "simple", "oii"])
+    def test_random_instances(self, mode):
+        rng = random.Random(22)
+        for _ in range(100):
+            inst = random_instance(rng, mode=mode)
+            self.assert_edges_are_the_arrays(inst.lattice, [inst.grammar])

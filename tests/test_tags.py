@@ -317,13 +317,13 @@ patterns = st.one_of(
 def test_compiled_masks_agree_with_conforms(labels, pairs):
     transitions = tuple(Transition("I", "F", inp, out) for inp, out in pairs)
     compiled = LocalGrammar("g", ("I", "F"), "I", frozenset({"F"}), transitions).compiled
+    width = len(transitions)
     for label in labels:
-        in_mask, out_mask = compiled.inputs.mask(label), compiled.outputs.mask(label)
+        mask = compiled.masks.mask(label)
         for i, t in enumerate(transitions):
-            assert bool(in_mask >> i & 1) == conforms(label, t.inp)
-            assert bool(out_mask >> i & 1) == conforms(label, t.out)
-        assert in_mask >> len(transitions) == 0
-        assert out_mask >> len(transitions) == 0
+            assert bool(mask >> i & 1) == conforms(label, t.inp)
+            assert bool(mask >> (width + i) & 1) == conforms(label, t.out)
+        assert mask >> (2 * width) == 0
 
 
 def test_conformity_table_rejects_non_patterns():
