@@ -22,18 +22,18 @@ Rule A, for grammars with only surface-form inputs, is rule B's walk
 under a stricter precondition: every such grammar passes rule B's, and
 its input masks are the literal lookup of each edge's written form.
 
-Conformity is decided on integers.  Each grammar is compiled once into
-one conformity table (``LocalGrammar.compiled``) that maps a label, in
-one call, to the bits of the transition inputs and then outputs it can
-satisfy; ``tags.conforms`` stays the reference predicate it must agree
+Conformity is decided on integers.  Each grammar has one conformity
+table (``LocalGrammar.masks``) that maps a label, in one call, to one
+mask: the bits of the transition inputs it can satisfy, then of the
+outputs; ``tags.conforms`` stays the reference predicate it must agree
 with.  Each step of a matched portion is then one ``&`` of the edge's
-output mask, its span's input mask and the transition's bit.
+output half, its span's input half and the transition's bit.
 
-One holder, ``_Tables``, keeps the tables of a lattice and grammar,
-each built on first use: the per-edge input and output masks, witness
-masks (general rule) and own-tag masks (rules A and B), each a flat int
-list aligned with the lattice's edge arrays, and the one matchable index,
-per state, that every rule reads.  The tables and ``filter`` read only the
+One holder, ``_Tables``, keeps the tables of a lattice and grammar, each
+built on first use: one mask per edge, witness masks (general rule) and
+own-tag masks (rules A and B), each a flat int list aligned with the
+lattice's edge arrays, and the one matchable index, a bool per state,
+that every rule reads.  The tables and ``filter`` read only the
 arrays and make no ``Edge``.  A state's edges are one run of indices
 (``Lattice._starts``), so a walk over them reads a range, and a path's
 ``Edge`` is found in its source's run.  Every verdict reads the holder.  The engine keeps
@@ -54,8 +54,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import compress, repeat
-from operator import and_, itemgetter, or_, rshift
+from itertools import compress
+from operator import itemgetter, or_
 from typing import Iterable, Sequence
 
 from .errors import CorpusFormatError, TagFormatError, UnknownWordError
@@ -63,8 +63,6 @@ from .grammar import GrammarClass, LocalGrammar, classify
 from .lattice import DEFAULT_PATH_LIMIT, Edge, Lattice, Path, _reached, all_paths, path_labels
 from .lexicon import Lexicon, _content_lines, build_initial_lattice, tokenize
 from .tags import SEPARATOR_CHARS, EdgeLabel, Separator, parse_label
-
-MatchableIndex = dict  # lattice state -> bool
 
 
 @dataclass(frozen=True)
@@ -92,11 +90,13 @@ class Decomposition:
 
 
 class _Tables:
-    """The per-edge tables of one (lattice, grammar) pair, each one int per
-    edge, aligned with ``l``'s edge arrays.  A matched portion's step over
-    an edge needs its output to conform to the edge's label, and its input
-    to some label on the same span (``witness``, the general rule) or to
-    the edge's own label (``own``, rules A and B)."""
+    """The tables of one (lattice, grammar) pair: one int per edge, aligned
+    with ``l``'s edge arrays, or one bool per state (``index``).  A matched
+    portion's step over an edge needs its output to conform to the edge's
+    label, and its input to some label on the same span (``witness``, the
+    general rule) or to the edge's own label (``own``, rules A and B).
+    With ``k`` transitions, ``m >> k`` is a mask's output half, and
+    ``m >> k & x`` keeps only input bits of ``x``, as ``m >> k < 2**k``."""
 
     last: _Tables | None = None  # the engine's one slot
 
@@ -105,35 +105,62 @@ class _Tables:
 
     @cached_property
     def masks(self) -> list[int]:
-        """Input bits, then output bits (see ``CompiledGrammar``): one mask per edge."""
-        return list(map(self.g.compiled.masks.mask, self.l.labels))
+        """Input bits, then output bits (see ``LocalGrammar.masks``): one mask per edge."""
+        return list(map(self.g.masks.mask, self.l.labels))
 
     @cached_property
-    def inputs(self) -> list[int]:
-        return list(map(and_, self.masks, repeat((1 << len(self.g.transitions)) - 1)))
-
-    @cached_property
-    def outputs(self) -> list[int]:
-        return list(map(rshift, self.masks, repeat(len(self.g.transitions))))
-
-    @cached_property
-    def index(self) -> MatchableIndex:
-        return _match_index(self.l, self.g, self.inputs)
+    def index(self) -> list[bool]:
+        """Per lattice state: does some path from it match a complete input
+        sequence of the grammar, an edge taking the transitions whose input
+        bit is set in its mask?  A backward pass: every step consumes an
+        edge and states are numbered in topological order, so a state's
+        successors are settled before it, whatever cycles the grammar has.
+        ``lands[q]`` holds the bits of the transitions into grammar states
+        from which some path out of lattice state ``q`` completes an input
+        sequence: input bits only, so and-ing it with a mask reads the
+        mask's input half."""
+        l, g, masks = self.l, self.g, self.masks
+        into = dict.fromkeys(g.states, 0)
+        leaving = dict.fromkeys(g.states, 0)
+        for i, t in enumerate(g.transitions):
+            into[t.dst] |= 1 << i
+            leaving[t.src] |= 1 << i
+        lands_final = reduce(or_, (into[s] for s in g.finals), 0)
+        non_final = [(leaving[s], into[s]) for s in g.states if s not in g.finals]
+        dsts, starts = l.dsts, l._starts
+        lands = [0] * l.n_states
+        live = [0] * l.n_states  # per state: the transitions some path out of it can take
+        lands_of: dict[int, int] = {}  # ``lands`` as a function of ``live``, per value met
+        for q in range(l.n_states - 1, -1, -1):
+            bits = 0
+            for i in range(starts[q], starts[q + 1]):
+                bits |= masks[i] & lands[dsts[i]]
+            live[q] = bits
+            lands[q] = lands_of.get(bits)
+            if lands[q] is None:
+                lands[q] = lands_of[bits] = reduce(
+                    or_, (in_bits for out_bits, in_bits in non_final if out_bits & bits), lands_final
+                )
+        if g.initial in g.finals:
+            return [True] * l.n_states
+        start = leaving[g.initial]
+        return [bool(start & bits) for bits in live]
 
     @cached_property
     def witness(self) -> list[int]:
         """Each edge's output mask, and-ed with the union of its span's
-        input masks (a span: every edge from its source to its target)."""
-        n = self.l.n_states
+        masks (a span: every edge from its source to its target)."""
+        n, k = self.l.n_states, len(self.g.transitions)
         spans = [src * n + dst for src, dst in zip(self.l.srcs, self.l.dsts)]
-        inputs: dict[int, int] = {}
-        for span, m in zip(spans, self.inputs):
-            inputs[span] = inputs.get(span, 0) | m
-        return [out & inputs[span] for span, out in zip(spans, self.outputs)]
+        span_or: dict[int, int] = {}
+        for span, m in zip(spans, self.masks):
+            span_or[span] = span_or.get(span, 0) | m
+        return [m >> k & span_or[span] for span, m in zip(spans, self.masks)]
 
     @cached_property
     def own(self) -> list[int]:
-        return list(map(and_, self.outputs, self.inputs))
+        k = len(self.g.transitions)
+        return [m >> k & m for m in self.masks]
 
 
 def _tables(l: Lattice, g: LocalGrammar) -> _Tables:
@@ -144,47 +171,9 @@ def _tables(l: Lattice, g: LocalGrammar) -> _Tables:
     return t
 
 
-def _match_index(l: Lattice, g: LocalGrammar, masks: list[int]) -> MatchableIndex:
-    """For each lattice state: does some path from it match a complete
-    input sequence of the grammar, edge by edge, where an edge may take
-    the transitions set in its mask (``masks``, aligned with ``l``'s edges)?
-
-    A backward pass over the lattice states.  Every step consumes an edge
-    and states are numbered in topological order, so a state's successors
-    are settled before it, whatever cycles the grammar has.  ``lands[q]``
-    holds the bits of the transitions into grammar states from which some
-    path out of lattice state ``q`` completes an input sequence.
-    """
-    into = dict.fromkeys(g.states, 0)
-    leaving = dict.fromkeys(g.states, 0)
-    for i, t in enumerate(g.transitions):
-        into[t.dst] |= 1 << i
-        leaving[t.src] |= 1 << i
-    lands_final = reduce(or_, (into[s] for s in g.finals), 0)
-    non_final = [(leaving[s], into[s]) for s in g.states if s not in g.finals]
-    dsts, starts = l.dsts, l._starts
-    lands = [0] * l.n_states
-    live = [0] * l.n_states  # per state: the transitions some path out of it can take
-    lands_of: dict[int, int] = {}  # ``lands`` as a function of ``live``, per value met
-    for q in range(l.n_states - 1, -1, -1):
-        bits = 0
-        for i in range(starts[q], starts[q + 1]):
-            bits |= masks[i] & lands[dsts[i]]
-        live[q] = bits
-        lands[q] = lands_of.get(bits)
-        if lands[q] is None:
-            lands[q] = lands_of[bits] = reduce(
-                or_, (in_bits for out_bits, in_bits in non_final if out_bits & bits), lands_final
-            )
-    if g.initial in g.finals:
-        return dict.fromkeys(range(l.n_states), True)
-    start = leaving[g.initial]
-    return {q: bool(start & live[q]) for q in range(l.n_states)}
-
-
-def matchable(l: Lattice, g: LocalGrammar) -> MatchableIndex:
-    """States from which some admitted tagging conforms to a complete
-    input sequence of the grammar; the engine's own dict, not a copy."""
+def matchable(l: Lattice, g: LocalGrammar) -> list[bool]:
+    """Per lattice state: does some admitted tagging from it conform to a
+    complete input sequence of the grammar?  The engine's own list, not a copy."""
     return _tables(l, g).index
 
 
@@ -287,7 +276,6 @@ def filter(g: LocalGrammar, l: Lattice) -> Lattice:
     """
     t = _tables(l, g)
     index, portion = t.index, t.witness
-    steps = g.compiled.steps
     finals = g.finals
     lattice_dsts, lattice_labels, starts = l.dsts, l.labels, l._starts
 
@@ -298,7 +286,7 @@ def filter(g: LocalGrammar, l: Lattice) -> Lattice:
     srcs, dsts, labels = [], [], []  # product edge k: (srcs[k], dsts[k], labels[k])
     for src, (q, mode) in enumerate(states):
         free = mode is _FREE and not index[q]  # between portions, at an unmatchable state
-        moves = steps[g.initial if mode is _FREE else mode]
+        moves = g.steps[g.initial if mode is _FREE else mode]
         for i in range(starts[q], starts[q + 1]):
             q_dst, ok = lattice_dsts[i], portion[i]
             targets = [(q_dst, _FREE)] if free else []
@@ -436,7 +424,6 @@ def _portion_walk(g: LocalGrammar, ok: Sequence[int], start: int) -> tuple[list,
     (position, transducer state) once: the matched portions that can start
     there, as ``(end, pairs)`` by increasing end, and the last position a
     walk examined."""
-    steps = g.compiled.steps
     found = []
     touched = start
     visited = {(start, g.initial)}
@@ -448,7 +435,7 @@ def _portion_walk(g: LocalGrammar, ok: Sequence[int], start: int) -> tuple[list,
         if pos >= len(ok):
             continue
         touched = max(touched, pos)
-        for bit, tr in reversed(steps[t]):
+        for bit, tr in reversed(g.steps[t]):
             if ok[pos] & bit and (pos + 1, tr.dst) not in visited:
                 visited.add((pos + 1, tr.dst))
                 stack.append((pos + 1, tr.dst, pairs + ((tr.inp, tr.out),)))

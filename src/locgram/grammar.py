@@ -13,7 +13,9 @@ Grammar documents are JSON::
      "transitions": [{"from": ..., "to": ..., "in": ..., "out": ...}, ...]}
 
 with ``in``/``out`` in tag notation.  Cycles are permitted; application to
-a sentence is bounded by the sentence length.
+a sentence is bounded by the sentence length.  The engine reads two tables
+of a grammar, each built on first use: ``masks``, its conformity table, and
+``steps``, each state's transitions with their mask bits.
 """
 
 from __future__ import annotations
@@ -46,16 +48,6 @@ class Transition:
 
 
 @dataclass(frozen=True)
-class CompiledGrammar:
-    """A grammar's conformity table: bit ``i`` of a mask stands for the
-    input of ``transitions[i]``, bit ``len(transitions) + i`` for its output."""
-
-    masks: ConformityTable
-    # state -> ((bit, transition), ...), in transition order
-    steps: dict[Hashable, tuple[tuple[int, Transition], ...]]
-
-
-@dataclass(frozen=True)
 class LocalGrammar:
     name: str
     states: tuple[Hashable, ...]
@@ -64,15 +56,18 @@ class LocalGrammar:
     transitions: tuple[Transition, ...]
 
     @cached_property
-    def compiled(self) -> CompiledGrammar:
-        """Built on first use and kept for the grammar's lifetime."""
+    def masks(self) -> ConformityTable:
+        """The grammar's conformity table: bit ``i`` of a mask stands for the
+        input of ``transitions[i]``, bit ``len(transitions) + i`` for its output."""
+        return ConformityTable([t.inp for t in self.transitions] + [t.out for t in self.transitions])
+
+    @cached_property
+    def steps(self) -> dict[Hashable, list[tuple[int, Transition]]]:
+        """Per state, its ``(bit, transition)`` pairs, in transition order."""
         steps: dict[Hashable, list[tuple[int, Transition]]] = {s: [] for s in self.states}
         for i, t in enumerate(self.transitions):
             steps[t.src].append((1 << i, t))
-        return CompiledGrammar(
-            ConformityTable([t.inp for t in self.transitions] + [t.out for t in self.transitions]),
-            {s: tuple(ts) for s, ts in steps.items()},
-        )
+        return steps
 
 
 class GrammarClass(enum.IntEnum):

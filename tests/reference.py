@@ -35,7 +35,6 @@ def path_label_pairs(g: LocalGrammar, max_len: int) -> frozenset:
     length at most ``max_len``; the language the union laws speak about.
     Depth-first with an explicit stack, so ``max_len`` is not bounded by
     the recursion limit."""
-    steps = g.compiled.steps
     found: set[tuple] = set()
     stack = [(g.initial, ())]
     while stack:
@@ -43,7 +42,7 @@ def path_label_pairs(g: LocalGrammar, max_len: int) -> frozenset:
         if state in g.finals:
             found.add(acc)
         if len(acc) < max_len:
-            stack.extend((tr.dst, acc + ((tr.inp, tr.out),)) for _, tr in steps[state])
+            stack.extend((tr.dst, acc + ((tr.inp, tr.out),)) for tr in g.transitions if tr.src == state)
     return frozenset(found)
 
 

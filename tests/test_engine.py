@@ -1,10 +1,13 @@
+import ast
 import json
 import random
 from itertools import islice
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import locgram
 from locgram import build_initial_lattice, fixtures, tokenize, union
 from locgram.engine import (
     CorpusItem,
@@ -75,18 +78,18 @@ LIMIT_DET_VARIANT = (
 class TestMatchable:
     def test_chain_matches_exactly_before_de(self, grammars, lattices):
         index = matchable(lattices["confirm-chain"], grammars["de-ce-que-chain"])
-        assert [q for q, hit in index.items() if hit] == [2]
+        assert [q for q, hit in enumerate(index) if hit] == [2]
 
     def test_all_false_on_empty_lattice(self, grammars, lexicon):
         l = build_initial_lattice([], lexicon)
         for g in grammars.values():
-            assert matchable(l, g) == {0: False}
+            assert matchable(l, g) == [False]
 
     def test_ne_verb_matches_via_other_tagging(self, grammars, lattices):
         # the portion's own tags need not match: another analysis of the
         # same text (lui as a past participle) provides the input match
         index = matchable(lattices["tell-him"], grammars["ne-verb"])
-        assert [q for q, hit in index.items() if hit] == [0]
+        assert [q for q, hit in enumerate(index) if hit] == [0]
 
 
 class TestAccepts:
@@ -335,7 +338,7 @@ class TestFilter:
         # sentence, so every analysis survives
         l = lattices["railway"]
         g = grammars["ne-lui"]
-        assert not any(matchable(l, g).values())
+        assert not any(matchable(l, g))
         assert language_equal(filter_lattice(g, l), l)
 
     def test_empty_result_flagged(self, lattices):
@@ -602,7 +605,7 @@ class TestLongSentence:
     GOLD = " ".join([TELL_HIM_GOOD] * LONG_REPEATS)
 
     def test_matchable_and_filter_under_cyclic_grammar(self, cyclic_grammar, long_lattice):
-        assert not any(matchable(long_lattice, cyclic_grammar).values())
+        assert not any(matchable(long_lattice, cyclic_grammar))
         # every state is unmatchable, so every path survives as free portions
         assert to_json(filter_lattice(cyclic_grammar, long_lattice)) == to_json(long_lattice)
 
@@ -868,3 +871,28 @@ class TestFlatEdges:
         for _ in range(100):
             inst = random_instance(rng, mode=mode)
             self.assert_edges_are_the_arrays(inst.lattice, [inst.grammar])
+
+
+def _gc_uses(source: str) -> list[int]:
+    """Lines of ``source`` that import ``gc``, name it, or spell it as a string (``__import__("gc")``)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Import) and any(a.name == "gc" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and node.module == "gc"
+            or isinstance(node, ast.Name) and node.id == "gc"
+            or isinstance(node, ast.Constant) and node.value == "gc"
+        ):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_library_leaves_the_collector_to_its_caller():
+    """``gc.disable``, ``gc.freeze`` and ``gc.set_threshold`` change state
+    that belongs to the whole process, so no module of the package imports
+    or calls ``gc``."""
+    assert _gc_uses("import gc as c\nfrom gc import freeze\ngc.disable()\n__import__('gc')") == [1, 2, 3, 4]
+    modules = sorted(Path(locgram.__file__).parent.glob("*.py"))
+    assert len(modules) > 5
+    for path in modules:
+        assert _gc_uses(path.read_text(encoding="utf-8")) == [], path.name

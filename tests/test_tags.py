@@ -316,10 +316,10 @@ patterns = st.one_of(
 @given(st.lists(edge_labels, min_size=1, max_size=6), st.lists(st.tuples(patterns, patterns), max_size=12))
 def test_compiled_masks_agree_with_conforms(labels, pairs):
     transitions = tuple(Transition("I", "F", inp, out) for inp, out in pairs)
-    compiled = LocalGrammar("g", ("I", "F"), "I", frozenset({"F"}), transitions).compiled
+    masks = LocalGrammar("g", ("I", "F"), "I", frozenset({"F"}), transitions).masks
     width = len(transitions)
     for label in labels:
-        mask = compiled.masks.mask(label)
+        mask = masks.mask(label)
         for i, t in enumerate(transitions):
             assert bool(mask >> i & 1) == conforms(label, t.inp)
             assert bool(mask >> (width + i) & 1) == conforms(label, t.out)
