@@ -15,8 +15,9 @@ An entry is ``killed`` when every command fails with exit 1 (a failed test
 or a reported disagreement), and ``SURVIVED`` when one passes.  Any other
 outcome is an ``ERROR``: a snippet not found exactly once (so a refactor
 cannot quietly retire a mutant), a usage or collection error, a timeout.
-A command must run the package in its own process: tests that start a
-child with ``PYTHONPATH=src`` of their own see the unmutated tree.
+A command must run the package in its own process; the tests that start
+a child of their own point its ``PYTHONPATH`` at the ``locgram`` they
+imported, so the child sees the mutated copy too.
 
     python scripts/mutants.py
 
@@ -55,6 +56,7 @@ class Mutant(NamedTuple):
 
 
 ENGINE, LATTICE, LEXICON = "locgram/engine.py", "locgram/lattice.py", "locgram/lexicon.py"
+CLI, GRAMMAR, TAGS = "locgram/cli.py", "locgram/grammar.py", "locgram/tags.py"
 
 CATALOGUE = [
     Mutant(
@@ -152,6 +154,34 @@ CATALOGUE = [
             "tests/test_lexicon.py::TestLoadLexicon::test_each_line_loads_as_if_alone[bundled]",
             "tests/test_lexicon.py::TestLoadLexicon::test_each_line_loads_as_if_alone[generated]",
         ),
+    ),
+    Mutant(
+        "dot-top-to-bottom",  # DOT drawings laid out top to bottom
+        LATTICE,
+        '"  rankdir=LR;"',
+        '"  rankdir=TB;"',
+        tests("tests/test_cli.py::TestCommittedScriptOutputs::test_stdout_matches_expected_file[output_digest]"),
+    ),
+    Mutant(
+        "union-initial-never-final",  # a member's final initial state renamed to the shared final
+        GRAMMAR,
+        '        if s == g.initial:\n            return "I"\n        if s in g.finals:\n            return "F"\n',
+        '        if s in g.finals:\n            return "F"\n        if s == g.initial:\n            return "I"\n',
+        tests("tests/test_grammar.py::TestUnion::test_member_accepting_the_empty_sequence"),
+    ),
+    Mutant(
+        "features-unranked",  # feature codes written in plain character order
+        TAGS,
+        "(_RANK.get(a, 0), a)",
+        "(0, a)",
+        tests("tests/test_tags.py::test_feature_formatting_order"),
+    ),
+    Mutant(
+        "overflow-exits-4",  # an enumeration overflow reported as malformed input
+        CLI,
+        "EnumerationOverflow: 5",
+        "EnumerationOverflow: 4",
+        tests("tests/test_cli.py::TestApply::test_long_sentence_overflow_exits_5"),
     ),
 ]
 

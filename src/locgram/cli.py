@@ -192,6 +192,8 @@ def cmd_diff_oracle(args: argparse.Namespace) -> tuple[str, int]:
 
 
 COMMANDS = {"tag": cmd_tag, "apply": cmd_apply, "check": cmd_check, "diff-oracle": cmd_diff_oracle}
+# The exit code of each error that main reports in one line; any other exception is a crash.
+EXIT_CODES = {UnknownWordError: 2, InputError: 4, OSError: 4, EnumerationOverflow: 5}
 
 
 def positive_int(text: str) -> int:
@@ -257,15 +259,9 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except UnknownWordError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InputError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except EnumerationOverflow as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
     except Exception as exc:
         import traceback  # only a crash needs it; every CLI start would pay for it
 

@@ -137,25 +137,14 @@ def union(grammars: Sequence[LocalGrammar]) -> LocalGrammar:
             return "F"
         return (f"g{i}", s)
 
-    states: list[Hashable] = ["I"]
-    finals: set[Hashable] = set()
-    transitions: list[Transition] = []
-    for i, g in enumerate(grammars):
-        if g.initial in g.finals:
-            finals.add("I")
-        for s in g.states:
-            renamed = rename(i, g, s)
-            if renamed not in states:
-                states.append(renamed)
-            if renamed == "F":
-                finals.add("F")
-        for t in g.transitions:
-            transitions.append(
-                Transition(rename(i, g, t.src), rename(i, g, t.dst), t.inp, t.out)
-            )
+    members = list(enumerate(grammars))
+    states = dict.fromkeys(["I", *(rename(i, g, s) for i, g in members for s in g.states)])
+    finals = frozenset(rename(i, g, s) for i, g in members for s in g.finals)
+    transitions = tuple(
+        Transition(rename(i, g, t.src), rename(i, g, t.dst), t.inp, t.out) for i, g in members for t in g.transitions
+    )
     name = "|".join(g.name for g in grammars)
-    combined = LocalGrammar(name, tuple(states), "I", frozenset(finals), tuple(transitions))
-    return _validate(combined)
+    return _validate(LocalGrammar(name, tuple(states), "I", finals, transitions))
 
 
 def output_implies_input(inp: IncompleteTag, out: IncompleteTag) -> bool:

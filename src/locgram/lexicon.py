@@ -133,13 +133,10 @@ def _content_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
 
 def load_categories(lines: Iterable[str]) -> tuple[str, ...]:
     """Read the category inventory, one main code per line."""
-    codes: list[str] = []
-    for _, line in _content_lines(lines):
-        if line not in codes:
-            codes.append(line)
+    codes = tuple(dict.fromkeys(line for _, line in _content_lines(lines)))
     if not codes:
         raise LexiconFormatError("empty category inventory")
-    return tuple(codes)
+    return codes
 
 
 def _checked_parts(

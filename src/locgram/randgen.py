@@ -18,6 +18,7 @@ from .lexicon import Lexicon, build_initial_lattice, load_lexicon, tokenize
 
 _SURFACES = ["ga", "bo", "ti", "ra", "mu", "ze", "ko", "da", "fe", "lu"]
 _CATS = ["V", "N", "A", "ADV", "PRO", "DET"]
+_MAX_STATES = 4
 _TENSE = ["P", "K", "W"]
 _CATEGORIES = tuple(_CATS)
 
@@ -108,12 +109,12 @@ def _weaken(rng: random.Random, out_label: str) -> str:
     return out_label
 
 
-def random_grammar(rng: random.Random, lexicon: Lexicon, mode: str, max_states: int) -> LocalGrammar:
+def random_grammar(rng: random.Random, lexicon: Lexicon, mode: str) -> LocalGrammar:
     """``mode``: ``simple`` (surface inputs only), ``oii`` (outputs imply
     inputs), or ``general``."""
     surfaces = sorted(lexicon.simple)
     for _ in range(60):
-        n = rng.randint(2, max_states)
+        n = rng.randint(2, _MAX_STATES)
         states = list(range(n))
         transitions = []
         for _ in range(rng.randint(1, 5)):
@@ -173,12 +174,11 @@ def random_instance(
     *,
     mode: str = "general",
     max_tokens: int = 10,
-    max_states: int = 4,
     path_cap: int = 2000,
 ) -> Instance:
     while True:
         lexicon = random_lexicon(rng)
-        grammar = random_grammar(rng, lexicon, mode, max_states)
+        grammar = random_grammar(rng, lexicon, mode)
         text = random_sentence(rng, lexicon, max_tokens)
         lattice = build_initial_lattice(tokenize(text), lexicon)
         if count_paths(lattice) <= path_cap:

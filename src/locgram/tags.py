@@ -47,21 +47,12 @@ SEPARATOR_CHARS = "-'’.,;:!?…"
 
 ANY_WORD_NAME = "MOT"
 
-_PERSON = "123"
-_GENDER = "mf"
-_NUMBER = "sp"
+# Each class of feature code: at most one code of each in a complete tag,
+# and formatted in this order, after the unclassed codes.
+_CLASSES = {"person": "123", "gender": "mf", "number": "sp"}
+_RANK = {atom: rank for rank, codes in enumerate(_CLASSES.values(), start=1) for atom in codes}
 
 FeatureSet = frozenset
-
-
-def _atom_rank(atom: str) -> int:
-    if atom in _PERSON:
-        return 1
-    if atom in _GENDER:
-        return 2
-    if atom in _NUMBER:
-        return 3
-    return 0
 
 
 def parse_features(text: str, *, validate: bool = False) -> FeatureSet:
@@ -76,15 +67,14 @@ def parse_features(text: str, *, validate: bool = False) -> FeatureSet:
     if any(ch.isspace() for ch in atoms):
         raise TagFormatError(f"whitespace in feature string {text!r}")
     if validate:
-        for cls, label in ((_PERSON, "person"), (_GENDER, "gender"), (_NUMBER, "number")):
-            hits = [a for a in atoms if a in cls]
-            if len(hits) > 1:
+        for label, codes in _CLASSES.items():
+            if sum(a in codes for a in atoms) > 1:
                 raise TagFormatError(f"duplicate {label} code in feature string {text!r}")
     return frozenset(atoms)
 
 
 def format_features(features: FeatureSet) -> str:
-    return "".join(sorted(features, key=lambda a: (_atom_rank(a), a)))
+    return "".join(sorted(features, key=lambda a: (_RANK.get(a, 0), a)))
 
 
 def _feature_tail(features: FeatureSet) -> str:

@@ -146,7 +146,7 @@ def test_criterion_5_oracle_equivalence(grammars, lattices, capsys):
     rng = random.Random(20260810)
     trials = 500
     for trial in range(trials):
-        inst = random_instance(rng, max_tokens=10, max_states=4)
+        inst = random_instance(rng, max_tokens=10)
         left = filter_lattice(inst.grammar, inst.lattice)
         right = filter_oracle(inst.grammar, inst.lattice)
         assert language_equal(left, right), (
@@ -161,7 +161,7 @@ def test_criterion_6_special_case_agreement(capsys):
     trials = 500
     per_instance_paths = 30
     for trial in range(trials):
-        inst = random_instance(rng, mode="simple", max_tokens=8, max_states=4)
+        inst = random_instance(rng, mode="simple", max_tokens=8)
         assert classify(inst.grammar) is GrammarClass.SIMPLE_INPUTS
         paths = islice(iter_paths(inst.lattice), per_instance_paths)
         for p in paths:
@@ -170,7 +170,7 @@ def test_criterion_6_special_case_agreement(capsys):
             assert accepts_case_b(inst.grammar, p, inst.lattice) == general, trial
     rng = random.Random(20260812)
     for trial in range(trials):
-        inst = random_instance(rng, mode="oii", max_tokens=8, max_states=4)
+        inst = random_instance(rng, mode="oii", max_tokens=8)
         assert classify(inst.grammar) is GrammarClass.OUTPUT_IMPLIES_INPUT
         paths = islice(iter_paths(inst.lattice), per_instance_paths)
         for p in paths:

@@ -22,6 +22,8 @@ NE_LUI = fixtures.grammar_path("ne-lui")
 CONFIRM_CHAIN = "Cela vient de ce que je ne me le suis pas fait confirmer aussitôt"
 
 ROOT = Path(__file__).resolve().parent.parent
+# Where the locgram under test lives, so that child processes import the same copy.
+PACKAGE_ROOT = str(Path(engine.__file__).resolve().parents[1])
 
 EXPECTED_MOMENT_LISTING = """\
 ("je.PRO:1s")
@@ -744,7 +746,7 @@ class TestDiffOracle:
     def test_randgen_is_imported_only_for_seed(self):
         # the random instances are all that needs it; no other command pays for its import
         probe = "import sys, locgram.cli; print('locgram.randgen' in sys.modules)"
-        env = {**os.environ, "PYTHONPATH": "src"}
+        env = {**os.environ, "PYTHONPATH": PACKAGE_ROOT}
         proc = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, env=env, capture_output=True, timeout=60)
         assert (proc.returncode, proc.stdout) == (0, b"False\n"), proc.stderr
 
@@ -818,7 +820,7 @@ class TestCommittedScriptOutputs:
     def check(script, **env):
         """Run with its default arguments, the script prints its committed
         ``scripts/<script>.expected`` byte for byte."""
-        env = {**os.environ, "PYTHONPATH": "src", **env}
+        env = {**os.environ, "PYTHONPATH": PACKAGE_ROOT, **env}
         proc = subprocess.run(
             [sys.executable, f"scripts/{script}.py"], cwd=ROOT, env=env, capture_output=True, timeout=300
         )

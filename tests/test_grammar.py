@@ -282,6 +282,11 @@ class TestUnion:
         assert () in path_label_pairs(u, 2)
         assert () not in path_label_pairs(union([grammars["ne-verb"]]), 2)
 
+    def test_state_order_is_first_appearance(self, grammars):
+        # "I" first, then each member's states in its own order, with "F" where it first appears
+        u = union([grammars["ne-verb"], grammars["ne-lui"], grammars["subject-inversion"]])
+        assert u.states == ("I", ("g0", 1), "F", ("g1", 1), ("g2", 1), ("g2", 2), ("g2", 4))
+
     def test_empty_union_rejected(self):
         with pytest.raises(ValueError):
             union([])

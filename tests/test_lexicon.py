@@ -200,6 +200,9 @@ class TestLoadLexicon:
         lex = load_lexicon(["", "# entry", "le,le.DET:ms"], categories)
         assert len(lex.simple["le"]) == 1
 
+    def test_repeated_codes_keep_the_first_in_order(self):
+        assert load_categories(["V", "N", "V", "# x", "A"]) == ("V", "N", "A")
+
     def test_empty_inventory_rejected(self):
         with pytest.raises(LexiconFormatError):
             load_categories(["# nothing"])
