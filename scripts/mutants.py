@@ -136,9 +136,23 @@ CATALOGUE = [
     Mutant(
         "module-level-tag-cache",  # one surface's tags shared across lexicons
         LEXICON,
-        "tags = lexicon.lookup(token.lookup)",
-        "tags = build_initial_lattice.__dict__.setdefault(token.lookup, lexicon.lookup(token.lookup))",
+        "tags = lexicon.lookup(form)",
+        "tags = build_initial_lattice.__dict__.setdefault(form, lexicon.lookup(form))",
         tests("tests/test_engine.py::TestCanonicalForm::test_lexicons_sharing_surfaces"),
+    ),
+    Mutant(
+        "fold-every-word",  # every word's leading capital folded, not the first word's alone
+        LEXICON,
+        "                forms[i] = token[0].lower() + token[1:]\n            break\n",
+        "                forms[i] = token[0].lower() + token[1:]\n",
+        tests("tests/test_lexicon.py::TestTokenize::test_fold_applies_to_first_word_only"),
+    ),
+    Mutant(
+        "unknown-word-folded",  # an unknown word named by its lookup form, not as written
+        LEXICON,
+        "UnknownWordError(tokens[i], i)",
+        "UnknownWordError(form, i)",
+        tests("tests/test_cli.py::TestCheck::test_unknown_word_is_named_as_written_at_its_position"),
     ),
     Mutant(
         "tail-memo-by-category",  # a code tail's parse reused for every tail of its category

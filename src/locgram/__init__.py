@@ -55,12 +55,11 @@ from .lattice import (
 from .lexicon import (
     Lexicon,
     LexiconEntry,
-    Token,
-    TokenKind,
     build_initial_lattice,
     expand_entry,
     load_categories,
     load_lexicon,
+    lookup_forms,
     tokenize,
 )
 from .tags import (

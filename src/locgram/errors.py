@@ -16,9 +16,9 @@ class LexiconFormatError(InputError):
 class UnknownWordError(LookupError):
     """A word token has no lexicon entry; initial tagging cannot proceed."""
 
-    def __init__(self, token):
-        self.token = token
-        super().__init__(f"unknown word {token.text!r} at position {token.position}")
+    def __init__(self, word: str, position: int):
+        self.word, self.position = word, position
+        super().__init__(f"unknown word {word!r} at position {position}")
 
 
 class LatticeFormatError(InputError):

@@ -20,7 +20,6 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
-from enum import Enum
 from operator import attrgetter
 
 from .errors import LexiconFormatError, TagFormatError, UnknownWordError
@@ -36,26 +35,6 @@ from .tags import (
 )
 
 _TOKEN_RE = re.compile(rf"[^\s{re.escape(SEPARATOR_CHARS)}]+|[{re.escape(SEPARATOR_CHARS)}]")
-
-
-class TokenKind(Enum):
-    WORD = "word"
-    SEPARATOR = "separator"
-
-
-@dataclass(frozen=True)
-class Token:
-    """One word or separator occurrence.
-
-    ``lookup`` is the form used for dictionary consultation: the leading
-    capital of the first word of a text is folded there, while ``text``
-    preserves the original spelling.
-    """
-
-    text: str
-    kind: TokenKind
-    position: int
-    lookup: str
 
 
 @dataclass(frozen=True)
@@ -196,8 +175,8 @@ def load_lexicon(lines: Iterable[str], categories: tuple[str, ...]) -> Lexicon:
 
     The load checks every line: a malformed one raises ``LexiconFormatError``
     with its number, whatever is looked up later.  So does a surface that
-    is one separator character, which ``tokenize`` makes a separator edge
-    and never looks up.  Each distinct code tail (the ``CAT;SUB[+T]:FEATS``
+    is one separator character, always a separator edge in a lattice and
+    never looked up.  Each distinct code tail (the ``CAT;SUB[+T]:FEATS``
     part after the last ``.``) is parsed once per call, and lines with that
     tail share its immutable parse.  A tail that
     fails is not kept, so the first line that carries it is the one named.
@@ -227,53 +206,47 @@ def load_lexicon(lines: Iterable[str], categories: tuple[str, ...]) -> Lexicon:
     )
 
 
-def tokenize(text: str) -> list[Token]:
-    """Split on whitespace; apostrophes, hyphens, and sentence punctuation
-    become separator tokens.  The first word's leading capital is folded
-    into its lookup form."""
-    tokens: list[Token] = []
-    first_word_seen = False
-    for position, piece in enumerate(_TOKEN_RE.findall(text)):
-        if piece in SEPARATOR_CHARS and len(piece) == 1:
-            tokens.append(Token(piece, TokenKind.SEPARATOR, position, piece))
-            continue
-        lookup = piece
-        if not first_word_seen:
-            first_word_seen = True
-            if piece[0].isupper():
-                lookup = piece[0].lower() + piece[1:]
-        tokens.append(Token(piece, TokenKind.WORD, position, lookup))
-    return tokens
+def tokenize(text: str) -> list[str]:
+    """The tokens as written: split on whitespace, and each apostrophe,
+    hyphen or sentence punctuation character is a token of its own, a
+    separator (a key of ``_SEPARATORS``).  A token's position is its index."""
+    return _TOKEN_RE.findall(text)
 
 
-def compound_matches(tokens: list[Token], start: int, lexicon: Lexicon) -> list[LexiconEntry]:
-    """Compound entries whose token sequence matches the stream at ``start``.
+def lookup_forms(tokens: list[str]) -> list[str]:
+    """The forms dictionary consultation reads: ``tokens`` with the leading
+    capital of the first word (the first token that is no separator) folded."""
+    forms = list(tokens)
+    for i, token in enumerate(forms):
+        if token not in _SEPARATORS:
+            if token[0].isupper():
+                forms[i] = token[0].lower() + token[1:]
+            break
+    return forms
 
-    Matching compares token by token, so a compound never crosses a
-    separator unless its own surface includes that separator.
-    """
-    matches: list[LexiconEntry] = []
-    for entry in lexicon.compounds.get(tokens[start].lookup, ()):
-        k = len(entry.surface_tokens)
-        if start + k > len(tokens):
-            continue
-        if all(tokens[start + j].lookup == entry.surface_tokens[j] for j in range(k)):
-            matches.append(entry)
-    return matches
+
+def compound_matches(forms: list[str], start: int, lexicon: Lexicon) -> list[LexiconEntry]:
+    """Compound entries whose token sequence matches the lookup forms at
+    ``start``, so a compound never crosses a separator unless its own
+    surface includes that separator."""
+    candidates = lexicon.compounds.get(forms[start], ())
+    return [e for e in candidates if tuple(forms[start : start + len(e.surface_tokens)]) == e.surface_tokens]
 
 
 _SEPARATORS = {char: Separator(char) for char in SEPARATOR_CHARS}
 
 
-def build_initial_lattice(tokens: list[Token], lexicon: Lexicon) -> Lattice:
+def build_initial_lattice(tokens: list[str], lexicon: Lexicon) -> Lattice:
     """Dictionary consultation: one edge per analysis.
 
-    States are token boundaries 0..n.  Every feature alternative of every
+    States are token boundaries 0..n.  The lexicon is consulted with
+    ``lookup_forms(tokens)``.  Every feature alternative of every
     simple entry yields an edge over one token; compound entries span their
     whole token range as parallel branches, from a word or a separator;
     separators carry themselves.
-    Unknown words abort (guessing would risk eliminating the correct
-    analysis later, so it is deliberately unsupported).
+    An unknown word aborts, named as written (guessing would risk
+    eliminating the correct analysis later, so it is deliberately
+    unsupported).
 
     Each analysis is one label object for the lexicon's lifetime, however
     often its word recurs in this text or later ones; an unknown word adds
@@ -286,20 +259,20 @@ def build_initial_lattice(tokens: list[Token], lexicon: Lexicon) -> Lattice:
     out sorted, its one-token edges (in ``lookup`` order) before its
     compounds, which are sorted by end and then by ``sort_key``.
     """
+    forms = lookup_forms(tokens)
     srcs, dsts, labels = [], [], []  # edge k: (srcs[k], dsts[k], labels[k])
-    for token in tokens:
-        i = token.position
-        if token.kind is TokenKind.SEPARATOR:
-            tags = (_SEPARATORS[token.text],)
+    for i, form in enumerate(forms):
+        if form in _SEPARATORS:
+            tags = (_SEPARATORS[form],)
         else:
-            tags = lexicon.lookup(token.lookup)
+            tags = lexicon.lookup(form)
             if not tags:
-                raise UnknownWordError(token)
+                raise UnknownWordError(tokens[i], i)
         ends = [i + 1] * len(tags)
-        if token.lookup in lexicon.compounds:
+        if form in lexicon.compounds:
             compounds = [
                 (i + len(entry.surface_tokens), tag)
-                for entry in compound_matches(tokens, i, lexicon)
+                for entry in compound_matches(forms, i, lexicon)
                 for tag in lexicon.analyses(entry)
             ]
             compounds.sort(key=lambda e: (e[0], e[1].sort_key))

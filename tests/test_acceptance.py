@@ -6,7 +6,7 @@ verdict line per criterion."""
 import random
 from itertools import islice
 
-from locgram import fixtures, tokenize, union
+from locgram import fixtures, lookup_forms, tokenize, union
 from locgram.cli import main
 from locgram.engine import (
     accepts,
@@ -25,7 +25,7 @@ from locgram.lattice import (
     to_dot,
 )
 from locgram.randgen import random_instance
-from locgram.tags import Separator
+from locgram.tags import SEPARATOR_CHARS, Separator
 
 from conftest import SENTENCES
 from test_cli import EXPECTED_MOMENT_LISTING
@@ -76,10 +76,8 @@ def test_criterion_2_railway_lattice(lexicon, lattices, capsys):
     assert traverse_mains == {"N", "V"}
     # independent oracle: product of per-token analysis counts for the
     # simple reading, plus the compound branch over the three-token span
-    tokens = tokenize(SENTENCES["railway"])
-    counts = [
-        len(lexicon.lookup(t.lookup)) if t.kind.value == "word" else 1 for t in tokens
-    ]
+    forms = lookup_forms(tokenize(SENTENCES["railway"]))
+    counts = [1 if f in SEPARATOR_CHARS else len(lexicon.lookup(f)) for f in forms]
     simple = 1
     for c in counts:
         simple *= c

@@ -339,6 +339,24 @@ class TestCheck:
         assert out.startswith("CORPUS-ERROR s1 ") and "'lui'" in out
         assert "not admitted" not in out
 
+    def test_unknown_word_is_named_as_written_at_its_position(self, capsys, tmp_path):
+        # a first word's folded capital is for lookup only; the position
+        # counts separators
+        corpus = tmp_path / "unknown.txt"
+        corpus.write_text(
+            "T: Xyzzy pas\nG: <pas ADV>\n"
+            "T: - Xyzzy\nG: - <pas ADV>\n"
+            "T: Il traverse le pont\nG: <il PRO:3ms>\n",
+            encoding="utf-8",
+        )
+        code, out, _ = run(capsys, "check", "--grammar", NE_VERB, str(corpus))
+        assert code == 0
+        assert out == (
+            "CORPUS-ERROR s1 unknown word 'Xyzzy' at position 0\n"
+            "CORPUS-ERROR s2 unknown word 'Xyzzy' at position 1\n"
+            "CORPUS-ERROR s3 unknown word 'pont' at position 3\n"
+        )
+
 
 class TestExitCodes:
     def test_internal_error_exits_6(self, capsys, monkeypatch):

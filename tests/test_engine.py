@@ -27,7 +27,7 @@ from locgram.engine import (
 )
 from locgram.errors import CorpusFormatError, TagFormatError
 from locgram.grammar import load_grammar
-from locgram.lexicon import TokenKind, compound_matches, expand_entry, load_lexicon
+from locgram.lexicon import _SEPARATORS, compound_matches, expand_entry, load_lexicon, lookup_forms
 from locgram.lattice import (
     Edge,
     Lattice,
@@ -739,13 +739,13 @@ def _built_initial_lattice(tokens, lexicon):
     """The initial lattice as ``Lattice.build`` makes it from every
     analysis of each token, in lexicon order, with no kept label."""
     edges = []
-    for token in tokens:
-        i = token.position
-        entries = compound_matches(tokens, i, lexicon)
-        if token.kind is TokenKind.SEPARATOR:
-            edges.append((i, i + 1, Separator(token.text)))
+    forms = lookup_forms(tokens)
+    for i, form in enumerate(forms):
+        entries = compound_matches(forms, i, lexicon)
+        if form in _SEPARATORS:
+            edges.append((i, i + 1, Separator(form)))
         else:
-            entries = [*lexicon.simple.get(token.lookup, ()), *entries]
+            entries = [*lexicon.simple.get(form, ()), *entries]
         edges += [
             (i, i + len(entry.surface_tokens), tag) for entry in entries for tag in expand_entry(entry)
         ]

@@ -22,7 +22,7 @@ from locgram.lattice import (
     to_dot,
     to_json,
 )
-from locgram.lexicon import TokenKind, compound_matches, expand_entry
+from locgram.lexicon import _SEPARATORS, compound_matches, expand_entry, lookup_forms
 from locgram.randgen import random_instance
 from locgram.tags import Category, CompleteTag, Separator, parse_complete_tag
 from conftest import LONG_TEXT, SENTENCES, assert_live, renamed, union_lattice
@@ -134,14 +134,14 @@ def _token_path_count(text, lexicon):
     """The number of paths of ``text``'s initial lattice, by a dynamic
     program over token positions read from the lexicon alone: each token's
     analyses lead one position on, each compound's analyses to its end."""
-    tokens = tokenize(text)
-    ways = [1] + [0] * len(tokens)
-    for i, token in enumerate(tokens):
-        if token.kind is TokenKind.SEPARATOR:  # one edge, the separator itself
+    forms = lookup_forms(tokenize(text))
+    ways = [1] + [0] * len(forms)
+    for i, form in enumerate(forms):
+        if form in _SEPARATORS:  # one edge, the separator itself
             ways[i + 1] += ways[i]
             continue
-        ways[i + 1] += ways[i] * len(lexicon.lookup(token.lookup))
-        for entry in compound_matches(tokens, i, lexicon):
+        ways[i + 1] += ways[i] * len(lexicon.lookup(form))
+        for entry in compound_matches(forms, i, lexicon):
             ways[i + len(entry.surface_tokens)] += ways[i] * len(expand_entry(entry))
     return ways[-1]
 

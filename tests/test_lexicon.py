@@ -6,12 +6,13 @@ from itertools import islice
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
-from locgram import build_initial_lattice, fixtures, tokenize
+from locgram import build_initial_lattice, fixtures, lookup_forms, tokenize
 from locgram.errors import LexiconFormatError, UnknownWordError
 from locgram.lattice import all_paths, count_paths, iter_paths
-from locgram.lexicon import LexiconEntry, TokenKind, load_categories, load_lexicon
-from locgram.tags import Separator
+from locgram.lexicon import LexiconEntry, load_categories, load_lexicon
+from locgram.tags import SEPARATOR_CHARS, Separator
 from conftest import SENTENCES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -210,40 +211,40 @@ class TestLoadLexicon:
 
 class TestTokenize:
     def test_hyphen_splits(self):
-        tokens = tokenize("Ne fait-il les comptes")
-        assert [t.text for t in tokens] == ["Ne", "fait", "-", "il", "les", "comptes"]
-        assert [t.kind for t in tokens] == [
-            TokenKind.WORD,
-            TokenKind.WORD,
-            TokenKind.SEPARATOR,
-            TokenKind.WORD,
-            TokenKind.WORD,
-            TokenKind.WORD,
-        ]
-        assert [t.position for t in tokens] == list(range(6))
+        assert tokenize("Ne fait-il les comptes") == ["Ne", "fait", "-", "il", "les", "comptes"]
 
     def test_empty(self):
         assert tokenize("") == []
+        assert lookup_forms([]) == []
 
     def test_plain_words(self):
-        tokens = tokenize("pomme de terre cuite")
-        assert len(tokens) == 4
-        assert all(t.kind is TokenKind.WORD for t in tokens)
+        assert tokenize("pomme  de\tterre\ncuite") == ["pomme", "de", "terre", "cuite"]
 
     def test_apostrophe_is_separator(self):
-        tokens = tokenize("l'expérience")
-        assert [t.text for t in tokens] == ["l", "'", "expérience"]
-        assert tokens[1].kind is TokenKind.SEPARATOR
+        assert tokenize("l'expérience") == ["l", "'", "expérience"]
 
     def test_initial_capital_folded_for_lookup_only(self):
         tokens = tokenize("Je ne")
-        assert tokens[0].text == "Je"
-        assert tokens[0].lookup == "je"
-        assert tokens[1].lookup == "ne"
+        assert lookup_forms(tokens) == ["je", "ne"]
+        assert tokens == ["Je", "ne"]
 
     def test_fold_applies_to_first_word_only(self):
-        tokens = tokenize("- Je")
-        assert tokens[1].lookup == "je"
+        # the fold skips leading separators and stops at the first word
+        assert lookup_forms(tokenize("- Je Ne")) == ["-", "je", "Ne"]
+
+    @given(st.text(alphabet="aAéÉz \t\n" + SEPARATOR_CHARS))
+    def test_tokens_and_lookup_forms(self, text):
+        tokens = tokenize(text)
+        assert "".join(tokens) == "".join(text.split())
+        for token in tokens:
+            one_separator = len(token) == 1 and token in SEPARATOR_CHARS
+            assert one_separator or token.split() == [token] and not set(token) & set(SEPARATOR_CHARS)
+        forms = lookup_forms(tokens)
+        changed = [i for i, (t, f) in enumerate(zip(tokens, forms)) if t != f]
+        words = [i for i, t in enumerate(tokens) if t not in SEPARATOR_CHARS]
+        assert len(forms) == len(tokens) and changed in ([], words[:1])
+        for i in changed:
+            assert forms[i][1:] == tokens[i][1:] and forms[i][0] == tokens[i][0].lower()
 
 
 class TestBuildInitialLattice:
@@ -314,7 +315,7 @@ class TestBuildInitialLattice:
     def test_unknown_word_aborts_with_token(self, lexicon):
         with pytest.raises(UnknownWordError) as info:
             build_initial_lattice(tokenize("Il traverse le pont"), lexicon)
-        assert info.value.token.text == "pont"
+        assert (info.value.word, info.value.position) == ("pont", 3)
 
     def test_empty_text_single_state(self, lexicon):
         l = build_initial_lattice([], lexicon)
@@ -328,8 +329,7 @@ class TestBuildInitialLattice:
         from locgram.lexicon import _TOKEN_RE
 
         for key, text in SENTENCES.items():
-            tokens = tokenize(text)
-            expected = [t.lookup for t in tokens]
+            expected = lookup_forms(tokenize(text))
             for path in islice(iter_paths(lattices[key]), 50):
                 flat = [
                     piece
@@ -341,8 +341,8 @@ class TestBuildInitialLattice:
     def test_moment_path_count_matches_per_token_product(self, lexicon, lattices):
         # independent oracle: product of per-token tag counts, plus the
         # compound branch replacing the last three tokens
-        tokens = tokenize("Je ne me le suis pas fait confirmer sur le moment")
-        counts = [len(lexicon.lookup(t.lookup)) for t in tokens]
+        forms = lookup_forms(tokenize("Je ne me le suis pas fait confirmer sur le moment"))
+        counts = [len(lexicon.lookup(f)) for f in forms]
         simple = 1
         for c in counts:
             simple *= c
