@@ -191,6 +191,13 @@ CATALOGUE = [
         tests("tests/test_tags.py::test_feature_formatting_order"),
     ),
     Mutant(
+        "dataclasses-imported",  # a CLI process imports dataclasses and the modules it pulls in
+        TAGS,
+        "from collections import namedtuple\n",
+        "import dataclasses\nfrom collections import namedtuple\n",
+        tests("tests/test_cli.py::TestStartup::test_cli_imports_neither_dataclasses_nor_inspect"),
+    ),
+    Mutant(
         "overflow-exits-4",  # an enumeration overflow reported as malformed input
         CLI,
         "EnumerationOverflow: 5",

@@ -52,11 +52,10 @@ order, so no sentence length meets Python's recursion limit.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress
 from operator import itemgetter, or_
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CorpusFormatError, TagFormatError, UnknownWordError
 from .grammar import GrammarClass, LocalGrammar, classify
@@ -65,8 +64,7 @@ from .lexicon import Lexicon, _content_lines, build_initial_lattice, tokenize
 from .tags import SEPARATOR_CHARS, EdgeLabel, Separator, parse_label
 
 
-@dataclass(frozen=True)
-class MatchedBlock:
+class MatchedBlock(NamedTuple):
     """A transducer-covered portion: edge positions [start, end) of the
     path, with the (input, output) pair consumed at each position."""
 
@@ -75,15 +73,13 @@ class MatchedBlock:
     pairs: tuple
 
 
-@dataclass(frozen=True)
-class FreeBlock:
+class FreeBlock(NamedTuple):
     """A single-edge portion at this path position."""
 
     position: int
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """A witness partition of a path into matched and free portions."""
 
     blocks: tuple
@@ -268,11 +264,15 @@ def filter(g: LocalGrammar, l: Lattice) -> Lattice:
     (lattice state, mode) where mode is free or an in-portion transducer
     state; free moves need an unmatchable source state, portion moves
     follow the transducer checking outputs against the edge and inputs
-    against same-span edges of the original lattice.  One backward
-    ``_reached`` walk from the goal drops the product edges on no
-    start-to-goal path, and ``Lattice._from_live`` makes the canonical
-    lattice of the rest, in their order.  An empty result is permitted;
-    callers can test ``is_empty_language``.
+    against same-span edges of the original lattice.  No portion starts
+    at an unmatchable state: a witness bit says that some edge of the
+    same span conforms to the transition's input, so a portion completed
+    from ``q`` would be an input walk from ``q``, and ``index[q]`` would
+    be true; every product state such a start would reach is dead, and
+    none is made.  One backward ``_reached`` walk from the goal drops the
+    product edges on no start-to-goal path, and ``Lattice._from_live``
+    makes the canonical lattice of the rest, in their order.  An empty
+    result is permitted; callers can test ``is_empty_language``.
     """
     t = _tables(l, g)
     index, portion = t.index, t.witness
@@ -290,7 +290,7 @@ def filter(g: LocalGrammar, l: Lattice) -> Lattice:
         for i in range(starts[q], starts[q + 1]):
             q_dst, ok = lattice_dsts[i], portion[i]
             targets = [(q_dst, _FREE)] if free else []
-            if ok:
+            if ok and not free:
                 for bit, tr in moves:
                     if ok & bit:
                         targets.append((q_dst, tr.dst))
@@ -326,8 +326,7 @@ def _trie_lattice(sequences: list[tuple]) -> Lattice:
         return Lattice.build(0, 0, [])
     # Trie nodes are ints: the root 0, one shared leaf END, and each inner
     # node numbered when first reached.  Edges are listed in order of
-    # first use.  Labels are keyed by their injective sort key, whose
-    # hash, unlike the label's own, costs no Python call.
+    # first use.  Labels are keyed by their injective sort key.
     END = -1
     edges = []
     targets: dict[tuple, int] = {}  # (node, label key, is last label) -> node
@@ -344,22 +343,19 @@ def _trie_lattice(sequences: list[tuple]) -> Lattice:
     return Lattice.build(0, END, edges)
 
 
-@dataclass(frozen=True)
-class CorpusItem:
+class CorpusItem(NamedTuple):
     sentence_id: str
     text: str
     gold: str  # tag sequence in notation
 
 
-@dataclass(frozen=True)
-class SilenceViolation:
+class SilenceViolation(NamedTuple):
     sentence_id: str
     span: tuple
     grammar: str
 
 
-@dataclass(frozen=True)
-class SilenceReport:
+class SilenceReport(NamedTuple):
     violations: tuple
     corpus_errors: tuple
 

@@ -21,9 +21,9 @@ of a grammar, each built on first use: ``masks``, its conformity table, and
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from .errors import GrammarFormatError, TagFormatError
 from .lattice import _check_id_types, _dot, _dot_quoted, _number_states, _reached, _read_document
@@ -39,21 +39,16 @@ from .tags import (
 )
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     src: Hashable
     dst: Hashable
     inp: IncompleteTag
     out: IncompleteTag
 
 
-@dataclass(frozen=True)
-class LocalGrammar:
-    name: str
-    states: tuple[Hashable, ...]
-    initial: Hashable
-    finals: frozenset
-    transitions: tuple[Transition, ...]
+class LocalGrammar(namedtuple("LocalGrammar", "name states initial finals transitions")):
+    """A named transducer: ``states`` (a tuple of hashable ids), ``initial``,
+    ``finals`` (a frozenset) and ``transitions`` (a tuple of ``Transition``)."""
 
     @cached_property
     def masks(self) -> ConformityTable:
@@ -153,7 +148,7 @@ def output_implies_input(inp: IncompleteTag, out: IncompleteTag) -> bool:
     constraints are a subset of the output's, or the universal simple-word
     pattern against an output that only matches simple words.  Incomplete
     by design; a miss only demotes the grammar to the general rule."""
-    if inp == out:
+    if type(inp) is type(out) and inp == out:  # tuples of two pattern classes can be equal
         return True
     if isinstance(inp, AnyWord):
         return isinstance(out, (SurfaceForm, AnyWord))

@@ -29,7 +29,7 @@ are, and a stable sort on ``(src, dst)`` orders the edges.  Its callers:
   hands them on.  Reading JSON and the oracle's trie use it.
 * ``engine.filter`` and ``minimize``, which make no dead edge.
 * ``build_initial_lattice`` makes what ``_from_live`` would, with the
-  dataclass constructor itself: its states are the token boundaries,
+  class itself: its states are the token boundaries,
   which the chain of tokens numbers ``0..n`` in the only topological
   order, and it emits each position's edges in order.
 
@@ -40,7 +40,7 @@ makes exactly one lattice per stage.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, partial
 from itertools import accumulate, pairwise
 from operator import attrgetter
@@ -64,14 +64,9 @@ _sort_key = attrgetter("sort_key")
 Path = tuple  # consecutive edges from the initial to the final state
 
 
-@dataclass(frozen=True)
-class Lattice:
-    n_states: int
-    initial: int
-    final: int
-    srcs: tuple[int, ...]  # edge i goes from srcs[i] to dsts[i] with label labels[i]
-    dsts: tuple[int, ...]
-    labels: tuple[EdgeLabel, ...]
+class Lattice(namedtuple("Lattice", "n_states initial final srcs dsts labels")):
+    """States ``0..n_states - 1``; edge ``i`` goes from ``srcs[i]`` to
+    ``dsts[i]`` with label ``labels[i]``, each column a tuple."""
 
     @classmethod
     def build(

@@ -18,9 +18,11 @@ load checks every line; a simple surface's entries are built when read.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass, field
+from functools import cached_property
 from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import LexiconFormatError, TagFormatError, UnknownWordError
 from .lattice import Lattice
@@ -37,8 +39,7 @@ from .tags import (
 _TOKEN_RE = re.compile(rf"[^\s{re.escape(SEPARATOR_CHARS)}]+|[{re.escape(SEPARATOR_CHARS)}]")
 
 
-@dataclass(frozen=True)
-class LexiconEntry:
+class LexiconEntry(NamedTuple):
     surface: str
     surface_tokens: tuple[str, ...]
     lemma: str
@@ -50,9 +51,10 @@ class LexiconEntry:
         return len(self.surface_tokens) > 1
 
 
-@dataclass(frozen=True)
-class Lexicon:
-    """Entries by first token, and the labels made from them.
+class Lexicon(namedtuple("Lexicon", "simple compounds categories")):
+    """Entries by first token, and the labels made from them: ``simple``
+    and ``compounds`` map a surface or first token to its entries, and
+    ``categories`` is the inventory.
 
     ``simple`` builds a surface's entries on each access, from lines the
     load has checked.  Each analysis is one label object for the
@@ -66,11 +68,11 @@ class Lexicon:
     the same symbol (entries and labels compare structurally).
     """
 
-    simple: Mapping[str, tuple[LexiconEntry, ...]]
-    compounds: Mapping[str, tuple[LexiconEntry, ...]]
-    categories: tuple[str, ...]
-    # surface -> its simple tags, compound entry -> its tags
-    _labels: dict = field(default_factory=dict, compare=False, repr=False)
+    @cached_property
+    def _labels(self) -> dict:
+        """Surface -> its simple tags, compound entry -> its tags; in the
+        instance ``__dict__``, so out of ``==``, ``hash`` and ``repr``."""
+        return {}
 
     def lookup(self, surface: str) -> tuple[CompleteTag, ...]:
         """All complete tags for one simple surface form, in ``sort_key``

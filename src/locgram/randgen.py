@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .grammar import GrammarClass, LocalGrammar, classify, load_grammar
 from .lattice import Lattice, _reached, count_paths
@@ -23,8 +23,7 @@ _TENSE = ["P", "K", "W"]
 _CATEGORIES = tuple(_CATS)
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
     lexicon: Lexicon
     text: str
     grammar: LocalGrammar

@@ -27,17 +27,20 @@ Feature strings decompose into single-character atoms: ``P3s`` is the set
 {P, 3, s}.  Conformity of features is set inclusion, so ``<prendre:s>``
 matches every singular form of ``prendre``.
 
-A label keeps its notation and sort key once computed (``cached_property``);
-the lexicon keeps one label per analysis, so each is computed once per analysis.
+Every value type is a named tuple, so equality and hashing are the
+tuple's own.  A label keeps its notation and sort key once computed
+(``cached_property``, in the ``__dict__`` of a ``collections.namedtuple``
+subclass); the lexicon keeps one label per analysis, so each is computed
+once per analysis.
 """
 
 from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import TagFormatError
 
@@ -83,8 +86,7 @@ def _feature_tail(features: FeatureSet) -> str:
     return f":{feats}" if feats else ""
 
 
-@dataclass(frozen=True)
-class Category:
+class Category(NamedTuple):
     """Main category code plus optional subcategories and bracketed traits."""
 
     main: str
@@ -121,15 +123,12 @@ def parse_category(text: str, categories: Iterable[str]) -> Category:
     return Category(main, subcats, tuple(traits))
 
 
-@dataclass(frozen=True)
-class CompleteTag:
-    """One fully specified analysis, attached to an exact surface form."""
-
-    surface: str
-    lemma: str
-    category: Category
-    features: FeatureSet = frozenset()
-    compound: bool = False
+class CompleteTag(
+    namedtuple("CompleteTag", "surface lemma category features compound", defaults=(frozenset(), False))
+):
+    """One fully specified analysis, attached to an exact surface form:
+    ``surface`` and ``lemma`` (str), ``category`` (``Category``),
+    ``features`` (``FeatureSet``) and ``compound`` (bool)."""
 
     def notation(self) -> str:
         return self._notation
@@ -157,11 +156,8 @@ class CompleteTag:
         return f"{self.lemma}.{self.category}{_feature_tail(self.features)}"
 
 
-@dataclass(frozen=True)
-class Separator:
+class Separator(namedtuple("Separator", "char")):
     """A literal separator character; doubles as edge label and pattern."""
-
-    char: str
 
     @property
     def surface(self) -> str:
@@ -176,8 +172,7 @@ class Separator:
         return (0, self.char, "", "", "", False)
 
 
-@dataclass(frozen=True)
-class LemmaPattern:
+class LemmaPattern(NamedTuple):
     """Matches complete tags with this lemma and at least these features."""
 
     lemma: str
@@ -187,8 +182,7 @@ class LemmaPattern:
         return f"<{self.lemma}{_feature_tail(self.features)}>"
 
 
-@dataclass(frozen=True)
-class CategoryPattern:
+class CategoryPattern(NamedTuple):
     """Matches complete tags with this main category and these features."""
 
     main: str
@@ -198,8 +192,7 @@ class CategoryPattern:
         return f"<{self.main}{_feature_tail(self.features)}>"
 
 
-@dataclass(frozen=True)
-class SurfaceForm:
+class SurfaceForm(NamedTuple):
     """Matches every analysis of one literal simple form."""
 
     form: str
@@ -208,8 +201,7 @@ class SurfaceForm:
         return self.form
 
 
-@dataclass(frozen=True)
-class AnyWord:
+class AnyWord(NamedTuple):
     """Matches any simple-word tag; never compounds, never separators."""
 
     def notation(self) -> str:

@@ -108,13 +108,13 @@ def build_calls(monkeypatch):
     """A list that grows by one entry per ``Lattice`` made, by any
     constructor: ``Lattice.build``, the private ones or the class itself."""
     calls = []
-    init = Lattice.__init__
+    new = Lattice.__new__
 
-    def counting(self, *args, **kwargs):
+    def counting(cls, *args, **kwargs):
         calls.append(1)
-        init(self, *args, **kwargs)
+        return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(Lattice, "__init__", counting)
+    monkeypatch.setattr(Lattice, "__new__", counting)
     return calls
 
 

@@ -769,6 +769,16 @@ class TestDiffOracle:
         assert (proc.returncode, proc.stdout) == (0, b"False\n"), proc.stderr
 
 
+class TestStartup:
+    def test_cli_imports_neither_dataclasses_nor_inspect(self):
+        # value types are named tuples, so a CLI process pays for no dataclass
+        # code generation and none of the modules ``dataclasses`` pulls in
+        probe = "import locgram.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        env = {**os.environ, "PYTHONPATH": PACKAGE_ROOT}
+        proc = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, env=env, capture_output=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, b"[]\n"), proc.stderr
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",

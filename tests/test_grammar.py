@@ -234,6 +234,12 @@ class TestClassify:
         assert output_implies_input(Separator("-"), Separator("-"))
         assert not output_implies_input(LemmaPattern("x"), CategoryPattern("V"))
 
+    def test_patterns_of_two_kinds_with_equal_fields(self):
+        # the two tuples compare equal, but a lemma constrains no category
+        assert LemmaPattern("V") == CategoryPattern("V")
+        assert not output_implies_input(LemmaPattern("V"), CategoryPattern("V"))
+        assert not output_implies_input(CategoryPattern("V"), LemmaPattern("V"))
+
     def test_union_class_is_weakest_member(self, grammars):
         for a, b in itertools.combinations(grammars.values(), 2):
             assert classify(union([a, b])) == max(classify(a), classify(b))
