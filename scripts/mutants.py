@@ -99,11 +99,25 @@ CATALOGUE = [
         ),
     ),
     Mutant(
-        "walk-by-value",  # a path's edge found by label comparison alone
+        "walk-without-upper-bound",  # a path's edge looked up in its state's run and every later one
         ENGINE,
-        "            if edges[i] is e:\n",
-        "            if False:\n",
-        tests("tests/test_engine.py::TestAccepts::test_own_path_edges_are_not_compared_by_value"),
+        "edges.index(e, starts[q], starts[q + 1])",
+        "edges.index(e, starts[q])",
+        tests("tests/test_engine.py::TestAccepts::test_rejects_foreign_path"),
+    ),
+    Mutant(
+        "walk-without-lower-bound",  # a path's edge looked up in its state's run and every earlier one
+        ENGINE,
+        "edges.index(e, starts[q], starts[q + 1])",
+        "edges.index(e, 0, starts[q + 1])",
+        tests("tests/test_engine.py::TestAccepts::test_rejects_foreign_path"),
+    ),
+    Mutant(
+        "matchable-shares-its-index",  # a caller's writes reach the engine's cached tables
+        ENGINE,
+        "return list(_tables(l, g).index)",
+        "return _tables(l, g).index",
+        tests("tests/test_engine.py::TestMatchable::test_result_is_the_callers_own"),
     ),
     Mutant(
         "filter-keeps-dead-edges",

@@ -35,13 +35,14 @@ own-tag masks (rules A and B), each a flat int list aligned with the
 lattice's edge arrays, and the one matchable index, a bool per state,
 that every rule reads.  The tables and ``filter`` read only the
 arrays and make no ``Edge``.  A state's edges are one run of indices
-(``Lattice._starts``), so a walk over them reads a range, and a path's
-``Edge`` is found in its source's run.  Every verdict reads the holder.  The engine keeps
-one slot, the holder of the last pair, matched by identity, never by
-hash, which would hash every label: checking many paths of one lattice
-builds its tables once, and at most one lattice's tables outlive a
-call.  A cache on the lattice would keep tables for every grammar it
-meets, and make the work of a call depend on the calls before it.
+(``Lattice._starts``), so a walk over them reads a range, and one
+``tuple.index`` over its source's run finds a path's ``Edge``.  Every
+verdict reads the holder.  The engine keeps one slot, the holder of the
+last pair, matched by identity, never by hash, which would hash every
+label: checking many paths of one lattice builds its tables once, and at
+most one lattice's tables outlive a call.  A cache on the lattice would
+keep tables for every grammar it meets, and make the work of a call
+depend on the calls before it.
 
 A path's verdict, its witness and a rejected path's silence span come
 from one forward walk over its positions, ``_walk``.  Every walk is
@@ -169,8 +170,8 @@ def _tables(l: Lattice, g: LocalGrammar) -> _Tables:
 
 def matchable(l: Lattice, g: LocalGrammar) -> list[bool]:
     """Per lattice state: does some admitted tagging from it conform to a
-    complete input sequence of the grammar?  The engine's own list, not a copy."""
-    return _tables(l, g).index
+    complete input sequence of the grammar?  A copy of the engine's own list."""
+    return list(_tables(l, g).index)
 
 
 def _walk(t: _Tables, p: Sequence[Edge], masks: list[int]) -> tuple:
@@ -181,18 +182,16 @@ def _walk(t: _Tables, p: Sequence[Edge], masks: list[int]) -> tuple:
     false, where no matched portion can; matched portions take the
     transitions ``masks`` allows: checking the path's own tags against
     inputs, or any same-span edge (the witness table), which realizes
-    equivalence: same text, same delimitation."""
+    equivalence: same text, same delimitation.  One ``tuple.index`` over
+    its source's run finds each path edge; equal edges there have equal
+    masks, so any of them gives the same walk."""
     edges, starts, index = t.l.edges, t.l._starts, t.index
     q, ok, free = t.l.initial, [], []
     for e in p:
-        for i in range(starts[q], starts[q + 1]):  # the lattice's own edge object
-            if edges[i] is e:
-                break
-        else:  # else an equal edge, with equal masks: only here are labels compared
-            try:
-                i = edges.index(e, starts[q], starts[q + 1])
-            except ValueError:
-                raise ValueError(f"edge {e!r} does not continue a path of the lattice") from None
+        try:
+            i = edges.index(e, starts[q], starts[q + 1])
+        except ValueError:
+            raise ValueError(f"edge {e!r} does not continue a path of the lattice") from None
         ok.append(masks[i])
         free.append(not index[q])
         q = e.dst

@@ -147,24 +147,22 @@ def random_grammar(rng: random.Random, lexicon: Lexicon, mode: str) -> LocalGram
 
 
 def _prune_document(doc: dict) -> dict | None:
-    """Drop unreachable and dead states so the document validates; its
-    states are ``0..n-1``."""
+    """Drop unreachable and dead states so the document validates, or None
+    when the initial state is dead; its states are ``0..n-1``.  A kept
+    initial state keeps a final state and the arcs of a path to it."""
     finals = set(doc["finals"])
     tails, heads = [t["from"] for t in doc["transitions"]], [t["to"] for t in doc["transitions"]]
     n = len(doc["states"])
     forward, backward = _reached([doc["initial"]], n, tails, heads), _reached(finals, n, heads, tails)
     keep = {q for q in doc["states"] if forward[q] and backward[q]}
-    if doc["initial"] not in keep or not (finals & keep):
-        return None
-    transitions = [t for t in doc["transitions"] if t["from"] in keep and t["to"] in keep]
-    if not transitions and doc["initial"] not in finals:
+    if doc["initial"] not in keep:
         return None
     return {
         "name": doc["name"],
         "states": sorted(keep),
         "initial": doc["initial"],
         "finals": sorted(finals & keep),
-        "transitions": transitions,
+        "transitions": [t for t in doc["transitions"] if t["from"] in keep and t["to"] in keep],
     }
 
 

@@ -559,9 +559,53 @@ def _mutate_document(rng, text: str) -> str:
     return json.dumps(doc, ensure_ascii=False)
 
 
+_FUZZ_CHARS = _FUZZ_BYTES.decode("utf-8", "ignore")  # the same, whole characters only
+
+
+def _edit_characters(rng, text: str) -> str:
+    """One to three characters deleted, inserted or overwritten."""
+    for _ in range(rng.randint(1, 3)):
+        i, kind = rng.randrange(len(text) + 1), rng.randrange(3)
+        text = text[:i] + (rng.choice(_FUZZ_CHARS) if kind else "") + text[i + (kind != 1) :]
+    return text
+
+
 class TestExitCodeFuzz:
     """Seeded mutations of the bundled input files: every run ends in a
     verdict or an input error, never in a crash."""
+
+    def test_character_edits_never_crash(self, capsys, tmp_path):
+        # the edits keep a file valid UTF-8, so they reach past the decoder
+        # into each reader; the texts hold only words of the bundled lexicon
+        rng = random.Random(0)
+        bundled = {
+            "categories": fixtures.categories_path(),
+            "lexicon": fixtures.lexicon_path(),
+            "ne-verb": NE_VERB,
+            "subject-inversion": fixtures.grammar_path("subject-inversion"),
+            "corpus": fixtures.corpus_path(),
+        }
+        texts = ["Ne lui dis pas", CONFIRM_CHAIN, "Ne fait-il les comptes que pour rendre service ?"]
+        codes = []
+        for trial in range(300):
+            name, source = rng.choice(list(bundled.items()))
+            edited = tmp_path / f"{trial}-{Path(source).name}"
+            edited.write_text(_edit_characters(rng, Path(source).read_text("utf-8")), "utf-8")
+            files = {**bundled, name: str(edited)}
+            lexicon = ["--categories", files["categories"], "--lexicon", files["lexicon"]]
+            grammars = [*lexicon, "--grammar", files["ne-verb"], "--grammar", files["subject-inversion"]]
+            text = rng.choice(texts)
+            commands = [
+                ["tag", *lexicon, text],
+                ["apply", *grammars, text],
+                ["apply", *grammars, "--sequential", "--format", "paths", text],
+                ["check", *grammars, files["corpus"]],
+            ]
+            argv = rng.choice([c for c in commands if str(edited) in c])  # one that reads the edit
+            code, _, err = run(capsys, *argv)
+            assert 0 <= code <= 4 and "internal error" not in err, (argv, edited.read_text("utf-8"), err)
+            codes.append(code)
+        assert {0, 1, 4} <= set(codes)
 
     def test_mutated_inputs_never_crash(self, capsys, tmp_path):
         rng = random.Random(0)
